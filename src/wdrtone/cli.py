@@ -86,19 +86,9 @@ def params_from_args(args: argparse.Namespace) -> TmoParams:
     )
 
 
-def _parse_int_list(spec: str, what: str) -> list[int]:
+def _parse_list(spec: str, what: str, kind: type) -> list:
     try:
-        items = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ParameterError(f"bad {what} list {spec!r}") from exc
-    if not items:
-        raise ParameterError(f"empty {what} list")
-    return items
-
-
-def _parse_float_list(spec: str, what: str) -> list[float]:
-    try:
-        items = [float(tok) for tok in spec.split(",") if tok.strip()]
+        items = [kind(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad {what} list {spec!r}") from exc
     if not items:
@@ -114,7 +104,7 @@ def parse_sweep_spec(spec: str) -> tuple[list[int], list[float]]:
         parts[key.strip()] = value
     if set(parts) != {"n", "eps"}:
         raise ParameterError(f"sweep spec must look like n=...:eps=..., got {spec!r}")
-    return _parse_int_list(parts["n"], "n"), _parse_float_list(parts["eps"], "eps")
+    return _parse_list(parts["n"], "n", int), _parse_list(parts["eps"], "eps", float)
 
 
 def parse_resolutions(spec: str) -> list[tuple[int, int]]:
@@ -248,8 +238,8 @@ def _time_cell(
 
 def run_bench(args: argparse.Namespace) -> int:
     resolutions = parse_resolutions(args.bench_resolutions)
-    scale_list = _parse_int_list(args.bench_scales, "scales")
-    bins_list = _parse_int_list(args.bench_bins, "bins")
+    scale_list = _parse_list(args.bench_scales, "scales", int)
+    bins_list = _parse_list(args.bench_bins, "bins", int)
     base = params_from_args(args)
     inputs = {res: _bench_input(args, *res) for res in resolutions}
 

@@ -31,6 +31,7 @@ from .errors import (
     TruncationError,
     UnsupportedOrientationError,
 )
+from .parallel import SERIAL, WorkerPool
 
 _RLE_MIN_WIDTH = 8
 _RLE_MAX_WIDTH = 0x7FFF
@@ -400,17 +401,39 @@ def write_pfm(image: HdrImage, little_endian: bool = True) -> bytes:
 # 8-bit display output
 # ---------------------------------------------------------------------------
 
+_ENCODE_BLOCK = 1 << 15  # float64 values per encode block: 256 KiB
 
-def quantize_ldr(rgb: np.ndarray, gamma: float) -> LdrImage:
-    """Quantize a [0, 1] float raster to 8 bits: round(255 * v**(1/gamma))."""
+
+def quantize_ldr(rgb: np.ndarray, gamma: float, pool: WorkerPool | None = None) -> LdrImage:
+    """Quantize a [0, 1] float raster to 8 bits: round(255 * v**(1/gamma)).
+
+    Encodes row strips on the pool in cache-sized blocks; the caller's raster
+    is never written.
+    """
     if not gamma > 0:
         raise ParameterError(f"gamma must be positive, got {gamma!r}")
     rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ParameterError(f"expected a (H, W, 3) raster, got shape {rgb.shape}")
-    if not np.isfinite(rgb).all() or (rgb < 0).any() or (rgb > 1).any():
-        raise RangeError("display values must lie in [0, 1]; clamp before encoding")
-    encoded = np.rint(255.0 * rgb ** (1.0 / gamma)).astype(np.uint8)
+    inverse_gamma = 1.0 / gamma
+    encoded = np.empty(rgb.shape, np.uint8)
+
+    def kernel(row_start: int, row_stop: int) -> None:
+        source = rgb[row_start:row_stop].reshape(-1)
+        target = encoded[row_start:row_stop].reshape(-1)
+        scratch = np.empty(min(_ENCODE_BLOCK, source.size))
+        for start in range(0, source.size, _ENCODE_BLOCK):
+            block = source[start : start + _ENCODE_BLOCK]
+            # comparisons with NaN are false, so non-finite values fail here too
+            if not (block.min() >= 0.0 and block.max() <= 1.0):
+                raise RangeError("display values must lie in [0, 1]; clamp before encoding")
+            work = scratch[: block.size]
+            np.power(block, inverse_gamma, out=work)
+            np.multiply(work, 255.0, out=work)
+            np.rint(work, out=work)
+            target[start : start + block.size] = work
+
+    (pool or SERIAL).run_rows(kernel, rgb.shape[0])
     encoded.flags.writeable = False  # fresh array, skip the defensive copy
     return LdrImage(encoded)
 

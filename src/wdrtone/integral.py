@@ -13,12 +13,12 @@ count for any window with four lookups, independent of the bin count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import ContractViolationError, DimensionError, ParameterError
-from .parallel import WorkerPool
+from .parallel import SERIAL, WorkerPool
 
 
 @dataclass(frozen=True)
@@ -178,12 +178,7 @@ def build_integral_histogram(
         np.cumsum(below, axis=0, dtype=dtype, out=cum[k, 1:, 1:])
         np.cumsum(cum[k, 1:, 1:], axis=1, out=cum[k, 1:, 1:])
 
-    boundaries = range(1, bins)
-    if pool is None:
-        for k in boundaries:
-            build_boundary(k)
-    else:
-        pool.run_tasks([lambda k=k: build_boundary(k) for k in boundaries])
+    (pool or SERIAL).run_tasks(partial(build_boundary, k) for k in range(1, bins))
     return IntegralHistogram(
         width, height, bins, np.asarray(edges, np.float64).copy(), bmap, cum
     )

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable
+from functools import partial
+from typing import Any, Callable, Iterable
 
 from .errors import ParameterError
 
@@ -32,29 +33,17 @@ class WorkerPool:
 
     def run_rows(self, kernel: Callable[[int, int], None], height: int) -> None:
         """Invoke kernel(row_start, row_stop) over a partition of [0, height)."""
-        if self._executor is None or height < 2 * self.workers:
-            kernel(0, height)
-            return
-        strips = self.workers
+        strips = self.workers if height >= 2 * self.workers else 1
         bounds = [height * i // strips for i in range(strips + 1)]
-        futures = [
-            self._executor.submit(kernel, bounds[i], bounds[i + 1])
-            for i in range(strips)
-            if bounds[i] < bounds[i + 1]
-        ]
-        for f in futures:
-            f.result()
+        self.run_tasks(partial(kernel, a, b) for a, b in zip(bounds, bounds[1:]))
 
-    def run_tasks(self, tasks: Iterable[Callable[[], None]]) -> None:
-        """Run independent nullary tasks, in parallel when workers allow."""
+    def run_tasks(self, tasks: Iterable[Callable[[], Any]]) -> list:
+        """Run independent nullary tasks, in parallel when workers allow; return their results."""
         tasks = list(tasks)
         if self._executor is None or len(tasks) < 2:
-            for t in tasks:
-                t()
-            return
+            return [t() for t in tasks]
         futures = [self._executor.submit(t) for t in tasks]
-        for f in futures:
-            f.result()
+        return [f.result() for f in futures]
 
     def close(self) -> None:
         if self._executor is not None:
@@ -66,3 +55,7 @@ class WorkerPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+# Stands in when a stage is given no pool: runs every kernel inline.
+SERIAL = WorkerPool(1)

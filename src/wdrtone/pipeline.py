@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import integral, tmo
 from .errors import ParameterError
-from .hdr_io import HdrImage, LdrImage
+from .hdr_io import HdrImage, LdrImage, quantize_ldr
 from .parallel import WorkerPool
 from .params import TmoParams
 
@@ -33,9 +34,6 @@ class StageTimings:
     fusion_ms: float = 0.0
     color_restore_ms: float = 0.0
     total_ms: float = 0.0
-
-    # stages looped once per scale, the hot part of the pipeline
-    LOOPED = ("tone_map_ms", "weights_ms", "fusion_ms")
 
     def stage_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in fields(self) if f.name != "total_ms")
@@ -67,7 +65,7 @@ def _tone_map_display(
     mark = time.perf_counter()
     floor = tmo.resolve_log_floor(luminance, params.log_floor)
     floored = np.maximum(luminance, floor)
-    log_lum = tmo.log_from_floored(floored, floor)
+    log_lum = tmo.log_transform(floored, floor)
     edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
     schedule = (
         None if degenerate else tmo.make_scale_schedule(width, height, params.scales)
@@ -83,16 +81,10 @@ def _tone_map_display(
         timings.integral_histogram_ms = (time.perf_counter() - mark) * 1e3
 
         mark = time.perf_counter()
-        tables: dict[str, integral.IntegralImage] = {}
-        squares = log_lum.values * log_lum.values
-
-        def build_sums() -> None:
-            tables["sums"] = integral.build_integral_image(log_lum.values)
-
-        def build_squares() -> None:
-            tables["squares"] = integral.build_integral_image(squares)
-
-        pool.run_tasks([build_sums, build_squares])
+        squared = log_lum.values * log_lum.values
+        sums, squares = pool.run_tasks(
+            partial(integral.build_integral_image, raster) for raster in (log_lum.values, squared)
+        )
         timings.integral_images_ms = (time.perf_counter() - mark) * 1e3
 
         numerator = np.zeros((height, width))
@@ -109,8 +101,8 @@ def _tone_map_display(
 
             mark = time.perf_counter()
             tmo.weight_map_at_scale(
-                tables["sums"],
-                tables["squares"],
+                sums,
+                squares,
                 extent,
                 params.epsilon,
                 pool=pool,
@@ -119,16 +111,10 @@ def _tone_map_display(
             timings.weights_ms += (time.perf_counter() - mark) * 1e3
 
             mark = time.perf_counter()
-
-            def accumulate(row_start: int, row_stop: int) -> None:
-                rows = slice(row_start, row_stop)
-                weight_sum[rows] += scale_weights[rows]
-                value_sum[rows] += scale_values[rows]
-                # the weights buffer is rewritten next scale; reuse it for the product
-                scale_weights[rows] *= scale_values[rows]
-                numerator[rows] += scale_weights[rows]
-
-            pool.run_rows(accumulate, height)
+            # scale_weights is rewritten next scale, so the accumulator may clobber it
+            tmo.accumulate_scale(
+                numerator, weight_sum, value_sum, scale_values, scale_weights, pool=pool
+            )
             timings.fusion_ms += (time.perf_counter() - mark) * 1e3
 
         mark = time.perf_counter()
@@ -143,45 +129,30 @@ def _tone_map_display(
     return display, timings
 
 
-def _validate(image: HdrImage) -> None:
+def _tone_map(
+    image: HdrImage, params: TmoParams | None, threads: int, encode: bool
+) -> tuple[np.ndarray | LdrImage, StageTimings]:
+    params = params or TmoParams()
     if image.width < 2 or image.height < 2:
         raise ParameterError(f"image must be at least 2x2, got {image.width}x{image.height}")
+    started = time.perf_counter()
+    with WorkerPool(threads) as pool:
+        result, timings = _tone_map_display(image, params, pool)
+        if encode:
+            result = quantize_ldr(result, params.gamma, pool=pool)
+    timings.total_ms = (time.perf_counter() - started) * 1e3
+    return result, timings
 
 
 def tone_map_to_array(
     image: HdrImage, params: TmoParams | None = None, threads: int = 0
 ) -> tuple[np.ndarray, StageTimings]:
     """Tone map to a [0, 1] float RGB raster (pre-quantization) plus timings."""
-    params = params or TmoParams()
-    _validate(image)
-    started = time.perf_counter()
-    with WorkerPool(threads) as pool:
-        display, timings = _tone_map_display(image, params, pool)
-    timings.total_ms = (time.perf_counter() - started) * 1e3
-    return display, timings
+    return _tone_map(image, params, threads, encode=False)
 
 
 def tone_map_image(
     image: HdrImage, params: TmoParams | None = None, threads: int = 0
 ) -> tuple[LdrImage, StageTimings]:
     """Tone map to an 8-bit image; gamma from the params governs quantization."""
-    params = params or TmoParams()
-    _validate(image)
-    started = time.perf_counter()
-    with WorkerPool(threads) as pool:
-        display, timings = _tone_map_display(image, params, pool)
-        encoded = np.empty(display.shape, np.uint8)
-        inverse_gamma = 1.0 / params.gamma
-
-        def gamma_encode(row_start: int, row_stop: int) -> None:
-            block = display[row_start:row_stop]  # pipeline-owned, safe to clobber
-            np.power(block, inverse_gamma, out=block)
-            np.multiply(block, 255.0, out=block)
-            np.rint(block, out=block)
-            encoded[row_start:row_stop] = block
-
-        pool.run_rows(gamma_encode, display.shape[0])
-    encoded.flags.writeable = False
-    ldr = LdrImage(encoded)
-    timings.total_ms = (time.perf_counter() - started) * 1e3
-    return ldr, timings
+    return _tone_map(image, params, threads, encode=True)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractViolationError, ParameterError
 from .hdr_io import HdrImage
 from .integral import IntegralHistogram, IntegralImage
-from .parallel import WorkerPool
+from .parallel import SERIAL, WorkerPool
 from .params import (
     ABSOLUTE_LOG_FLOOR,
     FUSION_WEIGHT_FLOOR,
@@ -90,17 +90,13 @@ def resolve_log_floor(luminance: np.ndarray, log_floor: float | None = None) -> 
     return max(ABSOLUTE_LOG_FLOOR, RELATIVE_LOG_FLOOR * float(luminance.max()))
 
 
-def log_from_floored(floored: np.ndarray, log_floor: float) -> LogLuminance:
-    """Log raster from luminance already clamped at the floor."""
-    values = np.log(floored)
-    return LogLuminance(values, float(log_floor), float(values.min()), float(values.max()))
-
-
 def log_transform(luminance: np.ndarray, log_floor: float) -> LogLuminance:
     """ln(max(luminance, floor)) with cached extrema."""
     if not log_floor > 0:
         raise ParameterError(f"log_floor must be positive, got {log_floor!r}")
-    return log_from_floored(np.maximum(luminance, log_floor), log_floor)
+    values = np.maximum(luminance, log_floor)
+    np.log(values, out=values)
+    return LogLuminance(values, float(log_floor), float(values.min()), float(values.max()))
 
 
 def compute_bin_edges(log_lum: LogLuminance, bins: int) -> tuple[np.ndarray, bool]:
@@ -251,10 +247,7 @@ def tone_map_at_scale(
         window = counts_y[row_start:row_stop, None] * counts_x[None, :]
         result[row_start:row_stop] = low + span * (below / window)
 
-    if pool is None:
-        kernel(0, height)
-    else:
-        pool.run_rows(kernel, height)
+    (pool or SERIAL).run_rows(kernel, height)
     return result
 
 
@@ -296,10 +289,7 @@ def weight_map_at_scale(
         np.add(mean, epsilon, out=moment)
         np.divide(mean, moment, out=mean)
 
-    if pool is None:
-        kernel(0, height)
-    else:
-        pool.run_rows(kernel, height)
+    (pool or SERIAL).run_rows(kernel, height)
     return result
 
 
@@ -313,6 +303,30 @@ def finalize_fusion(
     degenerate = weight_sum < FUSION_WEIGHT_FLOOR
     safe = np.where(degenerate, 1.0, weight_sum)
     return np.where(degenerate, value_sum / scale_count, numerator / safe)
+
+
+def accumulate_scale(
+    numerator: np.ndarray,
+    weight_sum: np.ndarray,
+    value_sum: np.ndarray,
+    values: np.ndarray,
+    weights: np.ndarray,
+    pool: WorkerPool | None = None,
+) -> None:
+    """Add one scale's values and weights into the running fusion sums.
+
+    ``weights`` is overwritten with ``weights * values``: the product needs no
+    buffer of its own. Callers that still need the weights pass a copy.
+    """
+
+    def kernel(row_start: int, row_stop: int) -> None:
+        rows = slice(row_start, row_stop)
+        weight_sum[rows] += weights[rows]
+        value_sum[rows] += values[rows]
+        weights[rows] *= values[rows]
+        numerator[rows] += weights[rows]
+
+    (pool or SERIAL).run_rows(kernel, values.shape[0])
 
 
 def fuse_scales(
@@ -331,9 +345,7 @@ def fuse_scales(
     weight_sum = np.zeros(shape)
     value_sum = np.zeros(shape)
     for value, weight in zip(values, weights):
-        numerator += weight * value
-        weight_sum += weight
-        value_sum += value
+        accumulate_scale(numerator, weight_sum, value_sum, value, np.array(weight, np.float64))
     return finalize_fusion(numerator, weight_sum, value_sum, len(values))
 
 
@@ -360,8 +372,5 @@ def restore_color(
         np.power(block, saturation, out=block)
         np.multiply(block, luminance_out[row_start:row_stop, :, None], out=block)
 
-    if pool is None:
-        kernel(0, px.shape[0])
-    else:
-        pool.run_rows(kernel, px.shape[0])
+    (pool or SERIAL).run_rows(kernel, px.shape[0])
     return result

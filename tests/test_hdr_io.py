@@ -16,6 +16,7 @@ from wdrtone.errors import (
     TruncationError,
     UnsupportedOrientationError,
 )
+from wdrtone.parallel import WorkerPool
 
 
 def radiance_bytes(width, height, rgbe_rows):
@@ -220,6 +221,14 @@ class TestLdrOutput:
             hdr_io.quantize_ldr(np.full((1, 1, 3), 1.001), gamma=1.0)
         with pytest.raises(RangeError):
             hdr_io.quantize_ldr(np.full((1, 1, 3), -0.001), gamma=1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(RangeError):
+                hdr_io.quantize_ldr(np.full((1, 1, 3), bad), gamma=1.0)
+            # the last value of a raster spanning several encode blocks and row strips
+            rgb = np.full((40, 1000, 3), 0.5)
+            rgb[-1, -1, -1] = bad
+            with WorkerPool(3) as pool, pytest.raises(RangeError):
+                hdr_io.quantize_ldr(rgb, gamma=2.2, pool=pool)
 
     @settings(max_examples=50, deadline=None)
     @given(

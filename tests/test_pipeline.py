@@ -1,12 +1,12 @@
 """Pipeline orchestration: determinism, single-build property, degeneracy,
-thread independence, timing capture."""
+thread independence, timing capture, stage composition."""
 
 import numpy as np
 import pytest
 
-from wdrtone import integral
+from wdrtone import integral, tmo
 from wdrtone.errors import ParameterError
-from wdrtone.hdr_io import HdrImage
+from wdrtone.hdr_io import HdrImage, quantize_ldr
 from wdrtone.params import TmoParams
 from wdrtone.pipeline import StageTimings, tone_map_image, tone_map_to_array
 
@@ -96,6 +96,39 @@ class TestSingleBuildProperty:
         tone_map_image(img, TmoParams(scales=scales))
         assert calls["hist"] == 1
         assert calls["image"] == 2  # luminance table and its square
+
+
+class TestStageFunctionsComposeToPipeline:
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_rebuilt_pipeline_is_bit_identical(self, threads):
+        img = random_wdr(9, 37, 53)
+        params = TmoParams(bins=5, scales=3)
+        luminance = tmo.rgb_to_luminance(img)
+        floor = tmo.resolve_log_floor(luminance, params.log_floor)
+        log_lum = tmo.log_transform(luminance, floor)
+        edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
+        assert not degenerate
+        schedule = tmo.make_scale_schedule(img.width, img.height, params.scales)
+        hist = integral.build_integral_histogram(log_lum.values, edges)
+        sums = integral.build_integral_image(log_lum.values)
+        squares = integral.build_integral_image(log_lum.values * log_lum.values)
+        values = [tmo.tone_map_at_scale(log_lum, hist, extent, params) for extent in schedule]
+        weights = [
+            tmo.weight_map_at_scale(sums, squares, extent, params.epsilon) for extent in schedule
+        ]
+        weights_before = [w.copy() for w in weights]
+        fused = tmo.fuse_scales(values, weights)
+        for after, before in zip(weights, weights_before):
+            assert np.array_equal(after, before)
+        floored = np.maximum(luminance, floor)
+        display = tmo.restore_color(img, floored, fused, params.saturation)
+        display = np.clip(display, 0.0, params.display_max) / params.display_max
+        ldr = quantize_ldr(display, params.gamma)
+
+        arr, _ = tone_map_to_array(img, params, threads=threads)
+        assert np.array_equal(arr, display)
+        image, _ = tone_map_image(img, params, threads=threads)
+        assert np.array_equal(image.pixels, ldr.pixels)
 
 
 class TestExposureInvariance:

@@ -3,6 +3,9 @@
 Each pixel is tone mapped against nested local windows via cumulative window
 histograms, the per-window results are fused with local-variance weights, and
 summed-area tables plus integral histograms make every window query O(1).
+
+The stage functions live in ``wdrtone.tmo``, ``wdrtone.integral`` and
+``wdrtone.hdr_io``; the package root exports the documented API only.
 """
 
 from .errors import (
@@ -15,23 +18,9 @@ from .errors import (
     TruncationError,
     UnsupportedOrientationError,
 )
-from .hdr_io import (
-    HdrImage,
-    LdrImage,
-    load_hdr_file,
-    quantize_ldr,
-    read_pfm,
-    read_radiance_hdr,
-    save_ldr,
-    write_ldr,
-    write_pfm,
-    write_radiance_hdr,
-)
+from .hdr_io import HdrImage, LdrImage, load_hdr_file, save_ldr
 from .integral import (
-    IntegralHistogram,
-    IntegralImage,
     Region,
-    bin_index_map,
     build_integral_histogram,
     build_integral_image,
     region_histogram,
@@ -40,66 +29,34 @@ from .integral import (
 )
 from .params import TmoParams
 from .pipeline import StageTimings, tone_map_image, tone_map_to_array
-from .tmo import (
-    FieldExtent,
-    LogLuminance,
-    ScaleSchedule,
-    compute_bin_edges,
-    fuse_scales,
-    log_transform,
-    make_scale_schedule,
-    max_scale_count,
-    restore_color,
-    rgb_to_luminance,
-    tone_map_at_scale,
-    weight_map_at_scale,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractViolationError",
-    "DimensionError",
-    "FieldExtent",
-    "HdrFormatError",
+    # images, parameters and the tone mapping entry points
     "HdrImage",
-    "IntegralHistogram",
-    "IntegralImage",
     "LdrImage",
-    "LogLuminance",
-    "ParameterError",
-    "RangeError",
-    "Region",
-    "ScaleSchedule",
-    "StageTimings",
     "TmoParams",
-    "ToneMapError",
-    "TruncationError",
-    "UnsupportedOrientationError",
-    "bin_index_map",
-    "build_integral_histogram",
-    "build_integral_image",
-    "compute_bin_edges",
-    "fuse_scales",
+    "StageTimings",
     "load_hdr_file",
-    "log_transform",
-    "make_scale_schedule",
-    "max_scale_count",
-    "quantize_ldr",
-    "read_pfm",
-    "read_radiance_hdr",
-    "region_histogram",
-    "region_sum",
-    "region_variance",
-    "restore_color",
-    "rgb_to_luminance",
     "save_ldr",
-    "tone_map_at_scale",
     "tone_map_image",
     "tone_map_to_array",
-    "weight_map_at_scale",
-    "write_ldr",
-    "write_pfm",
-    "write_radiance_hdr",
+    # errors
+    "ToneMapError",
+    "ParameterError",
+    "ContractViolationError",
+    "DimensionError",
+    "RangeError",
+    "HdrFormatError",
+    "TruncationError",
+    "UnsupportedOrientationError",
+    # O(1) region queries
+    "Region",
+    "build_integral_image",
+    "build_integral_histogram",
+    "region_sum",
+    "region_histogram",
+    "region_variance",
     "__version__",
 ]

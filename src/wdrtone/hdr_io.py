@@ -35,17 +35,43 @@ from .parallel import SERIAL, WorkerPool
 
 _RLE_MIN_WIDTH = 8
 _RLE_MAX_WIDTH = 0x7FFF
+# Largest Radiance raster the decoder allocates (twice an 8K frame): legacy repeat
+# markers let a few bytes claim billions of pixels, so payload length cannot bound it.
+MAX_RADIANCE_PIXELS = 1 << 26
 
 
 @dataclass(frozen=True)
-class HdrImage:
+class _Raster:
+    """(height, width, 3) pixel array, frozen read-only after the subclass checks.
+
+    Each subclass is a dataclass of its own, so the generated __init__ runs
+    that subclass's __post_init__ checks.
+    """
+
+    pixels: np.ndarray
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        if arr is self.pixels and arr.flags.writeable:
+            arr = arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(self, "pixels", arr)
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+
+@dataclass(frozen=True)
+class HdrImage(_Raster):
     """Linear-radiance RGB raster; every value finite and non-negative.
 
     The pixel array is (height, width, 3) float64, frozen read-only so
     instances can be shared across threads.
     """
-
-    pixels: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.pixels, dtype=np.float64)
@@ -55,42 +81,18 @@ class HdrImage:
             raise ParameterError("HdrImage radiance must be finite")
         if (arr < 0).any():
             raise ParameterError("HdrImage radiance must be non-negative")
-        if arr is self.pixels and arr.flags.writeable:
-            arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "pixels", arr)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+        self._freeze(arr)
 
 
 @dataclass(frozen=True)
-class LdrImage:
+class LdrImage(_Raster):
     """Display-referred 8-bit RGB raster, (height, width, 3) uint8, read-only."""
-
-    pixels: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.pixels)
         if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
             raise ParameterError(f"LdrImage needs a (H, W, 3) uint8 array, got {np.shape(self.pixels)}")
-        if arr is self.pixels and arr.flags.writeable:
-            arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "pixels", arr)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+        self._freeze(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +253,10 @@ def radiance_to_rgbe(pixels: np.ndarray) -> np.ndarray:
 def read_radiance_hdr(data: bytes) -> HdrImage:
     """Decode a Radiance ``.hdr`` byte stream (flat and RLE scanlines)."""
     width, height, pos = _parse_radiance_header(bytes(data))
+    if height > (len(data) - pos) // 4:  # every scanline takes at least 4 bytes
+        raise TruncationError(f"{len(data) - pos} payload bytes cannot hold {height} scanlines")
+    if width * height > MAX_RADIANCE_PIXELS:
+        raise HdrFormatError(f"{width}x{height} exceeds the {MAX_RADIANCE_PIXELS}-pixel decode limit")
     rgbe = np.zeros((height, width, 4), np.uint8)
     for y in range(height):
         pos = _read_scanline(data, pos, width, rgbe[y])
@@ -462,16 +468,6 @@ def encode_png(image: LdrImage) -> bytes:
         + _png_chunk(b"IDAT", zlib.compress(rows.tobytes()))
         + _png_chunk(b"IEND", b"")
     )
-
-
-def write_ldr(rgb: np.ndarray, gamma: float, container: str = "ppm") -> bytes:
-    """Gamma-encode a [0, 1] raster and serialize it ('ppm' or 'png')."""
-    ldr = quantize_ldr(rgb, gamma)
-    if container == "ppm":
-        return encode_ppm(ldr)
-    if container == "png":
-        return encode_png(ldr)
-    raise ParameterError(f"unknown container {container!r}; use 'ppm' or 'png'")
 
 
 def save_ldr(path: str | Path, image: LdrImage) -> None:

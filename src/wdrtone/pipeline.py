@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -64,8 +63,8 @@ def _tone_map_display(
 
     mark = time.perf_counter()
     floor = tmo.resolve_log_floor(luminance, params.log_floor)
-    floored = np.maximum(luminance, floor)
-    log_lum = tmo.log_transform(floored, floor)
+    log_lum = tmo.log_transform(luminance, floor)
+    del luminance
     edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
     schedule = (
         None if degenerate else tmo.make_scale_schedule(width, height, params.scales)
@@ -81,10 +80,9 @@ def _tone_map_display(
         timings.integral_histogram_ms = (time.perf_counter() - mark) * 1e3
 
         mark = time.perf_counter()
-        squared = log_lum.values * log_lum.values
-        sums, squares = pool.run_tasks(
-            partial(integral.build_integral_image, raster) for raster in (log_lum.values, squared)
-        )
+        values = log_lum.values  # squared inside its task, so freed before the scale loop
+        build = integral.build_integral_image
+        sums, squares = pool.run_tasks((lambda: build(values), lambda: build(values * values)))
         timings.integral_images_ms = (time.perf_counter() - mark) * 1e3
 
         numerator = np.zeros((height, width))
@@ -122,7 +120,7 @@ def _tone_map_display(
         timings.fusion_ms += (time.perf_counter() - mark) * 1e3
 
     mark = time.perf_counter()
-    display = tmo.restore_color(image, floored, fused, params.saturation, pool=pool)
+    display = tmo.restore_color(image, log_lum.floored, fused, params.saturation, pool=pool)
     np.clip(display, 0.0, params.display_max, out=display)
     display /= params.display_max
     timings.color_restore_ms = (time.perf_counter() - mark) * 1e3

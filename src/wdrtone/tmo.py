@@ -39,8 +39,8 @@ LUMA_BLUE = 0.0722
 class LogLuminance:
     """Log-domain luminance raster with cached extrema."""
 
-    values: np.ndarray  # (H, W) float64
-    floor: float  # linear-domain clamp applied before the log
+    values: np.ndarray  # (H, W) float64, ln(floored)
+    floored: np.ndarray  # (H, W) linear luminance clamped at the log floor
     log_min: float
     log_max: float
 
@@ -50,24 +50,6 @@ class FieldExtent(NamedTuple):
 
     half_width: int
     half_height: int
-
-
-@dataclass(frozen=True)
-class ScaleSchedule:
-    """Receptive-field extents, largest first, each half the previous.
-
-    The first entry equals the full image dimensions so every clamped window
-    at that scale covers the whole image and the mapping degenerates to a
-    single global tone curve.
-    """
-
-    extents: tuple[FieldExtent, ...]
-
-    def __len__(self) -> int:
-        return len(self.extents)
-
-    def __iter__(self):
-        return iter(self.extents)
 
 
 def rgb_to_luminance(image: HdrImage) -> np.ndarray:
@@ -84,19 +66,17 @@ def rgb_to_luminance(image: HdrImage) -> np.ndarray:
 def resolve_log_floor(luminance: np.ndarray, log_floor: float | None = None) -> float:
     """Explicit floor if given, else the scene-relative default."""
     if log_floor is not None:
-        if not log_floor > 0:
-            raise ParameterError(f"log_floor must be positive, got {log_floor!r}")
         return float(log_floor)
     return max(ABSOLUTE_LOG_FLOOR, RELATIVE_LOG_FLOOR * float(luminance.max()))
 
 
 def log_transform(luminance: np.ndarray, log_floor: float) -> LogLuminance:
-    """ln(max(luminance, floor)) with cached extrema."""
+    """ln(max(luminance, floor)) with cached extrema; keeps the floored raster."""
     if not log_floor > 0:
         raise ParameterError(f"log_floor must be positive, got {log_floor!r}")
-    values = np.maximum(luminance, log_floor)
-    np.log(values, out=values)
-    return LogLuminance(values, float(log_floor), float(values.min()), float(values.max()))
+    floored = np.maximum(luminance, log_floor)
+    values = np.log(floored)
+    return LogLuminance(values, floored, float(values.min()), float(values.max()))
 
 
 def compute_bin_edges(log_lum: LogLuminance, bins: int) -> tuple[np.ndarray, bool]:
@@ -123,8 +103,13 @@ def max_scale_count(width: int, height: int) -> int:
     return count
 
 
-def make_scale_schedule(width: int, height: int, scales: int) -> ScaleSchedule:
-    """Halving pyramid of field extents, full image first."""
+def make_scale_schedule(width: int, height: int, scales: int) -> tuple[FieldExtent, ...]:
+    """Halving pyramid of field extents, largest first, each half the previous.
+
+    The first extent equals the full image dimensions, so every clamped window
+    at that scale covers the whole image and the mapping degenerates to a
+    single global tone curve.
+    """
     if width < 2 or height < 2:
         raise ParameterError(f"image must be at least 2x2, got {width}x{height}")
     if scales < 1:
@@ -145,7 +130,7 @@ def make_scale_schedule(width: int, height: int, scales: int) -> ScaleSchedule:
         extents.append(FieldExtent(half_w, half_h))
         half_w //= 2
         half_h //= 2
-    return ScaleSchedule(tuple(extents))
+    return tuple(extents)
 
 
 def _clamped_window_bounds(size: int, half: int) -> tuple[np.ndarray, np.ndarray]:

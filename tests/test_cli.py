@@ -74,6 +74,20 @@ class TestSingleMode:
         code = run("--input", bad, "--output", tmp_path / "o.ppm")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"#?RADIANCE\n\n-Y 200000 +X 200000\n",
+            b"#?RADIANCE\n\n-Y 1 +X 4000000000\n" + bytes((128,) * 4) + bytes((1, 1, 1, 255)) * 4,
+        ],
+        ids=["tall", "wide"],
+    )
+    def test_decompression_bomb_exits_2(self, data, tmp_path, capsys):
+        bomb = tmp_path / "bomb.hdr"
+        bomb.write_bytes(data)
+        assert run("--input", bomb, "--output", tmp_path / "o.ppm") == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_invalid_params_exit_3(self, scene, tmp_path):
         out = tmp_path / "o.ppm"
         assert run("--input", scene, "--output", out, "--bins", "1") == 3

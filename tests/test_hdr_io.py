@@ -1,6 +1,7 @@
 """RGBE / PFM codec tests: hand-assembled files, round-trips, error paths."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -17,6 +18,16 @@ from wdrtone.errors import (
     UnsupportedOrientationError,
 )
 from wdrtone.parallel import WorkerPool
+
+
+# Headers that claim far more pixels than their bytes hold: 200000 scanlines
+# with no payload; 60000 scanlines, under the pixel limit, with no payload; and
+# one 4e9-pixel row of one pixel plus four chained legacy repeat markers.
+DECOMPRESSION_BOMBS = [
+    b"#?RADIANCE\n\n-Y 200000 +X 200000\n",
+    b"#?RADIANCE\n\n-Y 60000 +X 1000\n",
+    b"#?RADIANCE\n\n-Y 1 +X 4000000000\n" + bytes((128, 128, 128, 128)) + bytes((1, 1, 1, 255)) * 4,
+]
 
 
 def radiance_bytes(width, height, rgbe_rows):
@@ -94,6 +105,17 @@ class TestRadianceDecode:
         data = hdr_io.write_radiance_hdr(img, run_length=True)
         with pytest.raises(TruncationError):
             hdr_io.read_radiance_hdr(data[:-2])
+
+    @pytest.mark.parametrize("data", DECOMPRESSION_BOMBS, ids=["tall", "short_payload", "wide"])
+    def test_decompression_bomb_rejected_before_allocation(self, data):
+        tracemalloc.start()
+        try:
+            with pytest.raises(HdrFormatError):
+                hdr_io.read_radiance_hdr(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRadianceRoundTrip:
@@ -244,7 +266,7 @@ class TestLdrOutput:
 
     def test_ppm_container(self):
         rgb = np.full((2, 3, 3), 0.5)
-        data = hdr_io.write_ldr(rgb, gamma=1.0, container="ppm")
+        data = hdr_io.encode_ppm(hdr_io.quantize_ldr(rgb, 1.0))
         assert data.startswith(b"P6\n3 2\n255\n")
         assert len(data) == len(b"P6\n3 2\n255\n") + 2 * 3 * 3
 
@@ -254,14 +276,14 @@ class TestLdrOutput:
 
         rng = np.random.default_rng(0)
         rgb = rng.random((4, 5, 3))
-        data = hdr_io.write_ldr(rgb, gamma=2.2, container="png")
+        data = hdr_io.encode_png(hdr_io.quantize_ldr(rgb, 2.2))
         decoded = np.asarray(PIL.open(_io.BytesIO(data)))
         assert np.array_equal(decoded, hdr_io.quantize_ldr(rgb, 2.2).pixels)
 
     def test_png_container_decodes_with_stdlib(self):
         rng = np.random.default_rng(1)
         rgb = rng.random((3, 7, 3))  # non-square: a width/height swap shows
-        data = hdr_io.write_ldr(rgb, gamma=2.2, container="png")
+        data = hdr_io.encode_png(hdr_io.quantize_ldr(rgb, 2.2))
         assert data[:8] == b"\x89PNG\r\n\x1a\n"
         chunks, pos = [], 8
         while pos < len(data):
@@ -314,6 +336,19 @@ class TestImageTypes:
         img = hdr_from_values(np.ones((2, 2, 3)))
         with pytest.raises(ValueError):
             img.pixels[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2, 3)), np.zeros((2, 2), np.uint8)])
+    def test_ldr_image_rejects_bad_dtype_or_shape(self, bad):
+        with pytest.raises(ParameterError):
+            hdr_io.LdrImage(bad)
+
+    @pytest.mark.parametrize("cls, dtype", [(hdr_io.HdrImage, np.float64), (hdr_io.LdrImage, np.uint8)])
+    def test_writeable_input_is_copied_and_frozen(self, cls, dtype):
+        source = np.ones((2, 3, 3), dtype)
+        image = cls(source)
+        assert not np.shares_memory(image.pixels, source)
+        assert source.flags.writeable and not image.pixels.flags.writeable
+        assert (image.width, image.height) == (3, 2)
 
     def test_load_hdr_file_sniffs_content(self, tmp_path):
         img = hdr_from_values(np.full((2, 2, 3), 0.5))

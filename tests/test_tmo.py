@@ -13,7 +13,7 @@ from wdrtone.tmo import FieldExtent
 
 def log_lum_from(values):
     values = np.asarray(values, dtype=np.float64)
-    return tmo.LogLuminance(values, 1e-12, float(values.min()), float(values.max()))
+    return tmo.LogLuminance(values, np.exp(values), float(values.min()), float(values.max()))
 
 
 def hist_for(values, bins):
@@ -98,7 +98,7 @@ class TestScaleSchedule:
 
     def test_single_scale_spans_image(self):
         schedule = tmo.make_scale_schedule(33, 57, 1)
-        assert schedule.extents == (FieldExtent(33, 57),)
+        assert schedule == (FieldExtent(33, 57),)
 
     def test_rectangular_halving(self):
         schedule = tmo.make_scale_schedule(640, 480, 3)

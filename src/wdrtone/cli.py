@@ -1,8 +1,12 @@
 """Batch command line: tone-map files, emit parameter-sweep grids, run benches.
 
-Exit codes: 0 success, 2 unreadable/undecodable input (or command line misuse,
-argparse's convention), 3 invalid parameter values. stdout carries reports
-only; diagnostics go to stderr.
+The tone mapping flags take their defaults from ``TmoParams``, and each one's
+destination is the field it sets. A bench cell is the median of the library's
+``StageTimings.total_ms`` over ``--repeats`` calls after one warm-up.
+
+Exit codes: 0 success, 2 unreadable/undecodable input or an output that
+cannot be written (or command line misuse, argparse's convention), 3 invalid
+parameter values. stdout carries reports only; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -10,8 +14,8 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-import time
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,19 +42,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--input", type=Path, help="input .hdr or .pfm file")
     parser.add_argument("--output", type=Path, help="output image (.png, else binary PPM)")
-    parser.add_argument("--bins", type=int, default=5, help="histogram bins per window (default 5)")
-    parser.add_argument("--scales", type=int, default=5, help="receptive field count (default 5)")
-    parser.add_argument("--epsilon", type=float, default=0.1, help="variance-weight regularizer (default 0.1)")
-    parser.add_argument("--sat", type=float, default=0.6, help="color saturation exponent (default 0.6)")
-    parser.add_argument("--gamma", type=float, default=2.2, help="display gamma (default 2.2)")
-    parser.add_argument("--display-min", type=float, default=0.0, help="display range low end (default 0)")
-    parser.add_argument("--display-max", type=float, default=1.0, help="display range high end (default 1)")
+    parser.add_argument("--bins", type=int, help="histogram bins per window (default %(default)g)")
+    parser.add_argument("--scales", type=int, help="receptive field count (default %(default)g)")
+    parser.add_argument("--epsilon", type=float, help="variance-weight regularizer (default %(default)g)")
     parser.add_argument(
-        "--log-floor",
-        type=float,
-        default=None,
-        help="luminance clamp before the log; default scales with the scene",
+        "--sat", dest="saturation", metavar="SAT", type=float,
+        help="color saturation exponent (default %(default)g)",
     )
+    parser.add_argument("--gamma", type=float, help="display gamma (default %(default)g)")
+    parser.add_argument("--display-min", type=float, help="display range low end (default %(default)g)")
+    parser.add_argument("--display-max", type=float, help="display range high end (default %(default)g)")
+    parser.add_argument(
+        "--log-floor", type=float, help="luminance clamp before the log; default scales with the scene"
+    )
+    parser.set_defaults(**asdict(TmoParams()))  # after add_argument, so --help shows them
     parser.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
     parser.add_argument("--timing", action="store_true", help="print the per-stage timing block")
     parser.add_argument(
@@ -74,23 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def params_from_args(args: argparse.Namespace) -> TmoParams:
-    return TmoParams(
-        bins=args.bins,
-        scales=args.scales,
-        epsilon=args.epsilon,
-        saturation=args.sat,
-        display_min=args.display_min,
-        display_max=args.display_max,
-        log_floor=args.log_floor,
-        gamma=args.gamma,
-    )
+    return TmoParams(**{f.name: getattr(args, f.name) for f in fields(TmoParams)})
 
 
-def _parse_list(spec: str, what: str, kind: type) -> list:
+def _parse_list(spec: str, what: str, kind: Callable[[str], object]) -> list:
     try:
         items = [kind(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ParameterError(f"bad {what} list {spec!r}") from exc
+        raise ParameterError(f"bad {what} list {spec!r}: {exc}") from exc
     if not items:
         raise ParameterError(f"empty {what} list")
     return items
@@ -107,21 +103,16 @@ def parse_sweep_spec(spec: str) -> tuple[list[int], list[float]]:
     return _parse_list(parts["n"], "n", int), _parse_list(parts["eps"], "eps", float)
 
 
+def _parse_hxw(token: str) -> tuple[int, int]:
+    height, width = map(int, token.split("x"))
+    if height < 1 or width < 1:
+        raise ParameterError(f"resolution {token.strip()} is smaller than 1x1")
+    return height, width
+
+
 def parse_resolutions(spec: str) -> list[tuple[int, int]]:
     """Parse '480x640,720x1280' into (height, width) pairs."""
-    out = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        h, _, w = tok.partition("x")
-        try:
-            out.append((int(h), int(w)))
-        except ValueError as exc:
-            raise ParameterError(f"bad resolution {tok!r}, expected HxW") from exc
-    if not out:
-        raise ParameterError("empty resolution list")
-    return out
+    return _parse_list(spec, "resolution", _parse_hxw)
 
 
 def synthetic_wdr(height: int, width: int, seed: int = 7) -> HdrImage:
@@ -151,52 +142,35 @@ def resample_nearest(image: HdrImage, height: int, width: int) -> HdrImage:
 
 def montage(tiles: list[list[LdrImage]], gutter: int = MONTAGE_GUTTER) -> LdrImage:
     """Grid of equal-size tiles separated by black gutters."""
-    tile_h = tiles[0][0].height
-    tile_w = tiles[0][0].width
-    rows = len(tiles)
-    cols = len(tiles[0])
-    sheet = np.zeros(
-        (rows * tile_h + (rows - 1) * gutter, cols * tile_w + (cols - 1) * gutter, 3),
-        np.uint8,
-    )
-    for r, row in enumerate(tiles):
-        for c, tile in enumerate(row):
-            y = r * (tile_h + gutter)
-            x = c * (tile_w + gutter)
-            sheet[y : y + tile_h, x : x + tile_w] = tile.pixels
-    return LdrImage(sheet)
+    pad = ((0, gutter), (0, gutter), (0, 0))  # a gutter below and right of every tile
+    rows = [np.concatenate([np.pad(tile.pixels, pad) for tile in row], axis=1) for row in tiles]
+    sheet = np.concatenate(rows)
+    return LdrImage(sheet[: sheet.shape[0] - gutter, : sheet.shape[1] - gutter])
 
 
-def _print_timings(timings: StageTimings, report_format: str) -> None:
-    if report_format == "csv":
-        items = timings.as_dict()
-        print(",".join(items))
-        print(",".join(f"{v:.3f}" for v in items.values()))
-    else:
-        print(timings.to_text())
+def _save(path: Path, image: LdrImage) -> None:
+    """save_ldr with write failures told apart from unreadable input."""
+    try:
+        save_ldr(path, image)
+    except OSError as exc:
+        raise ToneMapError(f"cannot write output: {exc}") from exc
 
 
 def run_single(args: argparse.Namespace) -> int:
-    if args.input is None or args.output is None:
-        print("single mode needs --input and --output", file=sys.stderr)
-        return EXIT_INPUT
     params = params_from_args(args)
     image = load_hdr_file(args.input)
     ldr, timings = tone_map_image(image, params, threads=args.threads)
-    save_ldr(args.output, ldr)
-    if args.timing:
-        _print_timings(timings, args.report_format)
+    _save(args.output, ldr)
+    if args.timing and args.report_format == "csv":
+        items = timings.as_dict()
+        print(",".join(items))
+        print(",".join(f"{v:.3f}" for v in items.values()))
+    elif args.timing:
+        print(timings.to_text())
     return EXIT_OK
 
 
-def _sweep_name(output: Path, bins: int, eps: float) -> Path:
-    return output.with_name(f"{output.stem}_n{bins}_eps{eps:g}{output.suffix}")
-
-
 def run_sweep(args: argparse.Namespace) -> int:
-    if args.input is None or args.output is None:
-        print("sweep mode needs --input and --output", file=sys.stderr)
-        return EXIT_INPUT
     bins_list, eps_list = parse_sweep_spec(args.sweep)
     base = params_from_args(args)
     image = load_hdr_file(args.input)
@@ -206,34 +180,30 @@ def run_sweep(args: argparse.Namespace) -> int:
         for eps in eps_list:
             params = replace(base, bins=bins, epsilon=eps)
             ldr, _ = tone_map_image(image, params, threads=args.threads)
-            save_ldr(_sweep_name(args.output, bins, eps), ldr)
+            name = f"{args.output.stem}_n{bins}_eps{eps:g}{args.output.suffix}"
+            _save(args.output.with_name(name), ldr)
             row.append(ldr)
         tiles.append(row)
     sheet = montage(tiles)
     grid_path = args.output.with_name(f"{args.output.stem}_grid{args.output.suffix}")
-    save_ldr(grid_path, sheet)
+    _save(grid_path, sheet)
     print(f"wrote {len(bins_list) * len(eps_list)} images + grid {grid_path}")
     return EXIT_OK
-
-
-def _bench_input(args: argparse.Namespace, height: int, width: int) -> HdrImage:
-    if args.input is not None:
-        return resample_nearest(load_hdr_file(args.input), height, width)
-    return synthetic_wdr(height, width)
 
 
 def _time_cell(
     image: HdrImage, params: TmoParams, threads: int, repeats: int
 ) -> tuple[float, StageTimings]:
     tone_map_image(image, params, threads=threads)  # warm-up
-    samples = []
-    last = None
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        _, timings = tone_map_image(image, params, threads=threads)
-        samples.append((time.perf_counter() - start) * 1e3)
-        last = timings
-    return statistics.median(samples), last
+    runs = [tone_map_image(image, params, threads=threads)[1] for _ in range(max(repeats, 1))]
+    return statistics.median(t.total_ms for t in runs), runs[-1]
+
+
+def _bench_line(csv: bool, bins: object, scales: object, cells: list[str]) -> str:
+    """One bench table line, the header included: bins, scales, one cell per resolution."""
+    if csv:
+        return ",".join([str(bins), str(scales), *cells])
+    return f"{bins:>4} {scales:>6}" + "".join(f"{cell:>12}" for cell in cells)
 
 
 def run_bench(args: argparse.Namespace) -> int:
@@ -241,39 +211,27 @@ def run_bench(args: argparse.Namespace) -> int:
     scale_list = _parse_list(args.bench_scales, "scales", int)
     bins_list = _parse_list(args.bench_bins, "bins", int)
     base = params_from_args(args)
-    inputs = {res: _bench_input(args, *res) for res in resolutions}
+    source = None if args.input is None else load_hdr_file(args.input)
+    inputs = [
+        synthetic_wdr(h, w) if source is None else resample_nearest(source, h, w)
+        for h, w in resolutions
+    ]
 
-    cells: dict[tuple[int, int, tuple[int, int]], float] = {}
-    breakdown: StageTimings | None = None
+    csv = args.report_format == "csv"
+    lines = [_bench_line(csv, "bins", "scales", [f"{h}x{w}" for h, w in resolutions])]
     for bins in bins_list:
         for scales in scale_list:
             params = replace(base, bins=bins, scales=scales)
-            for res in resolutions:
-                median_ms, timings = _time_cell(inputs[res], params, args.threads, args.repeats)
-                cells[(bins, scales, res)] = median_ms
-                breakdown = timings  # last cell = largest configuration
-
-    res_names = [f"{h}x{w}" for h, w in resolutions]
-    if args.report_format == "csv":
-        print("bins,scales," + ",".join(res_names))
-        for bins in bins_list:
-            for scales in scale_list:
-                row = [f"{cells[(bins, scales, res)]:.2f}" for res in resolutions]
-                print(f"{bins},{scales}," + ",".join(row))
-    else:
-        header = f"{'bins':>4} {'scales':>6}" + "".join(f"{name:>12}" for name in res_names)
-        print(header)
-        for bins in bins_list:
-            for scales in scale_list:
-                row = "".join(f"{cells[(bins, scales, res)]:>12.2f}" for res in resolutions)
-                print(f"{bins:>4} {scales:>6}{row}")
-    if breakdown is not None:
-        print()
-        print("stage breakdown of the last cell (% of staged time):")
-        staged = breakdown.stage_sum_ms() or 1.0
-        for name in breakdown.stage_names():
-            share = 100.0 * getattr(breakdown, name) / staged
-            print(f"  {name:<24} {share:6.1f}%")
+            cells = [_time_cell(image, params, args.threads, args.repeats) for image in inputs]
+            lines.append(_bench_line(csv, bins, scales, [f"{ms:.2f}" for ms, _ in cells]))
+    breakdown = cells[-1][1]  # last cell = largest configuration
+    print("\n".join(lines))
+    print()
+    print("stage breakdown of the last cell (% of staged time):")
+    staged = breakdown.stage_sum_ms() or 1.0
+    for name in breakdown.stage_names():
+        share = 100.0 * getattr(breakdown, name) / staged
+        print(f"  {name:<24} {share:6.1f}%")
     return EXIT_OK
 
 
@@ -282,10 +240,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.bench:
             return run_bench(args)
+        if args.input is None or args.output is None:
+            mode = "sweep" if args.sweep else "single"
+            print(f"{mode} mode needs --input and --output", file=sys.stderr)
+            return EXIT_INPUT
         if args.sweep:
             return run_sweep(args)
         return run_single(args)
-    except (FileNotFoundError, IsADirectoryError, HdrFormatError) as exc:
+    except (OSError, HdrFormatError) as exc:
         print(f"wdrtone: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ParameterError as exc:

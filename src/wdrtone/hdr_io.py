@@ -383,8 +383,9 @@ def read_pfm(data: bytes) -> HdrImage:
             f"PFM payload holds {len(payload)} bytes, needs {count * 4}"
         )
     dtype = "<f4" if scale < 0 else ">f4"
-    values = np.frombuffer(payload, dtype, count).astype(np.float64)
-    values *= abs(scale)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite results are rejected below
+        values = np.frombuffer(payload, dtype, count).astype(np.float64)
+        values *= abs(scale)
     raster = values.reshape(height, width, channels)[::-1]  # stored bottom-up
     if channels == 1:
         raster = np.repeat(raster, 3, axis=2)

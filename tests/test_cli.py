@@ -1,11 +1,14 @@
 """Command-line behavior: modes, exit codes, reports, file outputs."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wdrtone import cli
 from wdrtone.errors import ParameterError
-from wdrtone.hdr_io import HdrImage, write_radiance_hdr
+from wdrtone.hdr_io import HdrImage, write_pfm, write_radiance_hdr
 
 
 @pytest.fixture()
@@ -87,6 +90,32 @@ class TestSingleMode:
         bomb.write_bytes(data)
         assert run("--input", bomb, "--output", tmp_path / "o.ppm") == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_unreadable_input_exits_2(self, scene, tmp_path, monkeypatch, capsys):
+        def denied(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        assert run("--input", scene, "--output", tmp_path / "o.ppm") == 2
+        err = capsys.readouterr().err
+        assert "cannot read input" in err and "Traceback" not in err
+
+    def test_unwritable_output_exits_2(self, scene, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.ppm"
+        assert run("--input", scene, "--output", out, "--scales", "3") == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and str(out) in err
+
+    def test_mutated_pfm_exits_2(self, tmp_path, capsys):
+        # one payload float overwritten with a signalling NaN
+        data = bytearray(write_pfm(HdrImage(np.ones((4, 4, 3)))))
+        data[-4:] = bytes([0x00, 0x80, 0x95, 0xFF])
+        bad = tmp_path / "snan.pfm"
+        bad.write_bytes(bytes(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--input", bad, "--output", tmp_path / "o.ppm") == 2
+        assert "cannot read input" in capsys.readouterr().err
 
     def test_invalid_params_exit_3(self, scene, tmp_path):
         out = tmp_path / "o.ppm"
@@ -172,6 +201,9 @@ class TestBenchMode:
         assert out[0] == "bins,scales,16x16"
         assert out[1].startswith("3,2,")
 
+    def test_resolution_below_1x1_exits_3(self):
+        assert run("--bench", "--bench-resolutions=-3x5", "--repeats", "1") == 3
+
     def test_file_input_resampled(self, scene, capsys):
         code = run(
             "--bench", "--input", scene,
@@ -233,8 +265,9 @@ class TestHelpers:
 
     def test_parse_resolutions(self):
         assert cli.parse_resolutions("480x640,720x1280") == [(480, 640), (720, 1280)]
-        with pytest.raises(ParameterError):
-            cli.parse_resolutions("640")
+        for bad in ("640", "-3x5", "0x5"):
+            with pytest.raises(ParameterError):
+                cli.parse_resolutions(bad)
 
     def test_synthetic_wdr_deterministic(self):
         a = cli.synthetic_wdr(32, 48)

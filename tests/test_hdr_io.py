@@ -2,11 +2,12 @@
 
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wdrtone import hdr_io
@@ -28,6 +29,11 @@ DECOMPRESSION_BOMBS = [
     b"#?RADIANCE\n\n-Y 60000 +X 1000\n",
     b"#?RADIANCE\n\n-Y 1 +X 4000000000\n" + bytes((128, 128, 128, 128)) + bytes((1, 1, 1, 255)) * 4,
 ]
+
+
+# A 1x1 grayscale little-endian PFM whose one value is a signalling NaN; the
+# float32 -> float64 cast flags it as an invalid operation.
+SIGNALLING_NAN_PFM = b"Pf\n1 1\n-1.0\n" + bytes([0x00, 0x80, 0x95, 0xFF])
 
 
 def radiance_bytes(width, height, rgbe_rows):
@@ -208,6 +214,22 @@ class TestPfm:
         with pytest.raises(HdrFormatError):
             hdr_io.read_pfm(data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            SIGNALLING_NAN_PFM,
+            b"Pf\n1 1\n1.0\n" + bytes([0xFF, 0x95, 0x80, 0x00]),
+            b"Pf\n1 1\n-inf\n" + bytes(4),
+            b"Pf\n1 1\n-1e300\n" + struct.pack("<f", 1e30),
+        ],
+        ids=["snan_little", "snan_big", "infinite_scale", "scale_overflow"],
+    )
+    def test_non_finite_after_decode_raises_without_warning(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HdrFormatError):
+                hdr_io.read_pfm(data)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(1, 8),
@@ -363,3 +385,63 @@ class TestImageTypes:
         junk.write_bytes(b"hello world")
         with pytest.raises(HdrFormatError):
             hdr_io.load_hdr_file(junk)
+
+
+def _valid_files():
+    """One valid file per decoder path: RLE, flat and narrow .hdr; PF both ways; Pf."""
+    rng = np.random.default_rng(31)
+    pixels = np.exp(rng.normal(0, 3, (3, 12, 3)))
+    pixels[1, 2:10] = 0.75  # a run the RLE encoder compresses
+    img = hdr_io.HdrImage(pixels)
+    narrow = hdr_io.HdrImage(pixels[:, :5])
+    gray = np.exp(rng.normal(0, 3, 8)).astype("<f4").tobytes()
+    return [
+        hdr_io.write_radiance_hdr(img),
+        hdr_io.write_radiance_hdr(img, run_length=False),
+        hdr_io.write_radiance_hdr(narrow),
+        hdr_io.write_pfm(img, little_endian=True),
+        hdr_io.write_pfm(img, little_endian=False),
+        b"Pf\n4 2\n-1.0\n" + gray,
+    ]
+
+
+VALID_FILES = _valid_files()
+BYTE_EDITS = st.lists(
+    st.tuples(st.sampled_from(["overwrite", "delete", "insert"]), st.integers(0, 1 << 16), st.integers(0, 255)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def apply_edits(data, edits):
+    buf = bytearray(data)
+    for kind, at, value in edits:
+        if kind == "insert":
+            buf.insert(at % (len(buf) + 1), value)
+        elif kind == "delete":
+            del buf[at % len(buf)]
+        else:
+            buf[at % len(buf)] = value
+    return bytes(buf)
+
+
+class TestDecoderMutations:
+    def test_valid_files_decode(self):
+        assert VALID_FILES[0] != VALID_FILES[1]  # RLE actually kicked in
+        for data in VALID_FILES:
+            decode = hdr_io.read_radiance_hdr if data.startswith(b"#?") else hdr_io.read_pfm
+            assert decode(data).pixels.size > 0
+
+    @settings(max_examples=300, deadline=None)
+    @example(SIGNALLING_NAN_PFM, [])
+    @given(st.sampled_from(VALID_FILES), BYTE_EDITS)
+    def test_mutated_input_decodes_or_raises_format_error(self, data, edits):
+        mutated = apply_edits(data, edits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for decode in (hdr_io.read_radiance_hdr, hdr_io.read_pfm):
+                try:
+                    image = decode(mutated)
+                except HdrFormatError:
+                    continue
+                assert image.pixels.shape[2] == 3

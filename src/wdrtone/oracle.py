@@ -110,10 +110,11 @@ def naive_tone_map_array(image: HdrImage, params: TmoParams | None = None) -> np
     lo_v = float(values.min())
     hi_v = float(values.max())
 
-    if not hi_v > lo_v:
+    edges = lo_v + (hi_v - lo_v) * np.arange(params.bins + 1) / params.bins
+    if not (np.diff(edges) > 0).all():
+        # no usable range: the edges do not strictly increase
         fused = np.full((height, width), (params.display_min + params.display_max) / 2.0)
     else:
-        edges = lo_v + (hi_v - lo_v) * np.arange(params.bins + 1) / params.bins
         bin_map = naive_bin_map(values, edges)
         low = params.display_min
         span = params.display_max - params.display_min

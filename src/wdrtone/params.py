@@ -7,12 +7,6 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
-DEFAULT_BINS = 5
-DEFAULT_SCALES = 5
-DEFAULT_EPSILON = 0.1
-DEFAULT_SATURATION = 0.6
-DEFAULT_GAMMA = 2.2
-
 # Scene-relative log floor: RELATIVE_LOG_FLOOR x max luminance, never below the
 # absolute floor. Keeps the floor proportional to exposure so rescaling the
 # input rescales the floor with it.
@@ -40,14 +34,14 @@ class TmoParams:
     gamma: display encoding exponent applied when quantizing to 8 bits.
     """
 
-    bins: int = DEFAULT_BINS
-    scales: int = DEFAULT_SCALES
-    epsilon: float = DEFAULT_EPSILON
-    saturation: float = DEFAULT_SATURATION
+    bins: int = 5
+    scales: int = 5
+    epsilon: float = 0.1
+    saturation: float = 0.6
     display_min: float = 0.0
     display_max: float = 1.0
     log_floor: float | None = None
-    gamma: float = DEFAULT_GAMMA
+    gamma: float = 2.2
 
     def __post_init__(self) -> None:
         if not isinstance(self.bins, int) or self.bins < 2:

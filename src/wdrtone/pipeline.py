@@ -9,7 +9,9 @@ a worker pool whose size never changes the output bits.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -41,49 +43,48 @@ class StageTimings:
         return sum(getattr(self, name) for name in self.stage_names())
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     def to_text(self) -> str:
-        """Key-value block, one stage per line."""
-        lines = [f"{name}: {getattr(self, name):.3f}" for name in self.stage_names()]
-        lines.append(f"total_ms: {self.total_ms:.3f}")
-        return "\n".join(lines)
+        """Key-value block, one stage per line, total_ms (the last field) last."""
+        return "\n".join(f"{name}: {ms:.3f}" for name, ms in self.as_dict().items())
+
+
+@contextmanager
+def _timed(timings: StageTimings, field: str) -> Iterator[None]:
+    """Add the wall time of the block, in ms, to one field; loop stages accumulate."""
+    mark = time.perf_counter()
+    yield
+    setattr(timings, field, getattr(timings, field) + (time.perf_counter() - mark) * 1e3)
 
 
 def _tone_map_display(
-    image: HdrImage, params: TmoParams, pool: WorkerPool
-) -> tuple[np.ndarray, StageTimings]:
-    """Shared pipeline body; returns the [0, 1] display raster (caller-owned)."""
+    image: HdrImage, params: TmoParams, pool: WorkerPool, timings: StageTimings
+) -> np.ndarray:
+    """Shared pipeline body; fills the stage timings, returns the [0, 1] display raster."""
     height, width = image.height, image.width
-    timings = StageTimings()
 
-    mark = time.perf_counter()
-    luminance = tmo.rgb_to_luminance(image)
-    timings.luminance_ms = (time.perf_counter() - mark) * 1e3
+    with _timed(timings, "luminance_ms"):
+        luminance = tmo.rgb_to_luminance(image)
 
-    mark = time.perf_counter()
-    floor = tmo.resolve_log_floor(luminance, params.log_floor)
-    log_lum = tmo.log_transform(luminance, floor)
-    del luminance
-    edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
-    schedule = (
-        None if degenerate else tmo.make_scale_schedule(width, height, params.scales)
-    )
-    timings.log_edges_ms = (time.perf_counter() - mark) * 1e3
+    with _timed(timings, "log_edges_ms"):
+        floor = tmo.resolve_log_floor(luminance, params.log_floor)
+        log_lum = tmo.log_transform(luminance, floor)
+        del luminance
+        edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
+        schedule = None if degenerate else tmo.make_scale_schedule(width, height, params.scales)
 
     if degenerate:
-        # constant input: no usable range, emit constant mid-gray
+        # no usable range: emit constant mid-gray
         fused = np.full((height, width), (params.display_min + params.display_max) / 2.0)
     else:
-        mark = time.perf_counter()
-        hist = integral.build_integral_histogram(log_lum.values, edges, pool)
-        timings.integral_histogram_ms = (time.perf_counter() - mark) * 1e3
+        with _timed(timings, "integral_histogram_ms"):
+            hist = integral.build_integral_histogram(log_lum.values, edges, pool)
 
-        mark = time.perf_counter()
-        values = log_lum.values  # squared inside its task, so freed before the scale loop
-        build = integral.build_integral_image
-        sums, squares = pool.run_tasks((lambda: build(values), lambda: build(values * values)))
-        timings.integral_images_ms = (time.perf_counter() - mark) * 1e3
+        with _timed(timings, "integral_images_ms"):
+            values = log_lum.values  # squared inside its task, so freed before the scale loop
+            build = integral.build_integral_image
+            sums, squares = pool.run_tasks((lambda: build(values), lambda: build(values * values)))
 
         numerator = np.zeros((height, width))
         weight_sum = np.zeros((height, width))
@@ -91,40 +92,28 @@ def _tone_map_display(
         scale_values = np.empty((height, width))
         scale_weights = np.empty((height, width))
         for extent in schedule:
-            mark = time.perf_counter()
-            tmo.tone_map_at_scale(
-                log_lum, hist, extent, params, pool=pool, out=scale_values
-            )
-            timings.tone_map_ms += (time.perf_counter() - mark) * 1e3
+            with _timed(timings, "tone_map_ms"):
+                tmo.tone_map_at_scale(log_lum, hist, extent, params, pool=pool, out=scale_values)
 
-            mark = time.perf_counter()
-            tmo.weight_map_at_scale(
-                sums,
-                squares,
-                extent,
-                params.epsilon,
-                pool=pool,
-                out=scale_weights,
-            )
-            timings.weights_ms += (time.perf_counter() - mark) * 1e3
+            with _timed(timings, "weights_ms"):
+                tmo.weight_map_at_scale(
+                    sums, squares, extent, params.epsilon, pool=pool, out=scale_weights
+                )
 
-            mark = time.perf_counter()
-            # scale_weights is rewritten next scale, so the accumulator may clobber it
-            tmo.accumulate_scale(
-                numerator, weight_sum, value_sum, scale_values, scale_weights, pool=pool
-            )
-            timings.fusion_ms += (time.perf_counter() - mark) * 1e3
+            with _timed(timings, "fusion_ms"):
+                # scale_weights is rewritten next scale, so the accumulator may clobber it
+                tmo.accumulate_scale(
+                    numerator, weight_sum, value_sum, scale_values, scale_weights, pool=pool
+                )
 
-        mark = time.perf_counter()
-        fused = tmo.finalize_fusion(numerator, weight_sum, value_sum, len(schedule))
-        timings.fusion_ms += (time.perf_counter() - mark) * 1e3
+        with _timed(timings, "fusion_ms"):
+            fused = tmo.finalize_fusion(numerator, weight_sum, value_sum, len(schedule))
 
-    mark = time.perf_counter()
-    display = tmo.restore_color(image, log_lum.floored, fused, params.saturation, pool=pool)
-    np.clip(display, 0.0, params.display_max, out=display)
-    display /= params.display_max
-    timings.color_restore_ms = (time.perf_counter() - mark) * 1e3
-    return display, timings
+    with _timed(timings, "color_restore_ms"):
+        display = tmo.restore_color(image, log_lum.floored, fused, params.saturation, pool=pool)
+        np.clip(display, 0.0, params.display_max, out=display)
+        display /= params.display_max
+    return display
 
 
 def _tone_map(
@@ -133,12 +122,11 @@ def _tone_map(
     params = params or TmoParams()
     if image.width < 2 or image.height < 2:
         raise ParameterError(f"image must be at least 2x2, got {image.width}x{image.height}")
-    started = time.perf_counter()
-    with WorkerPool(threads) as pool:
-        result, timings = _tone_map_display(image, params, pool)
+    timings = StageTimings()
+    with _timed(timings, "total_ms"), WorkerPool(threads) as pool:
+        result = _tone_map_display(image, params, pool, timings)
         if encode:
             result = quantize_ldr(result, params.gamma, pool=pool)
-    timings.total_ms = (time.perf_counter() - started) * 1e3
     return result, timings
 
 

@@ -13,7 +13,6 @@ window statistics use the clamped pixel count.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -82,25 +81,17 @@ def log_transform(luminance: np.ndarray, log_floor: float) -> LogLuminance:
 def compute_bin_edges(log_lum: LogLuminance, bins: int) -> tuple[np.ndarray, bool]:
     """Equal-width boundaries over the log range.
 
-    Returns (edges, degenerate); a constant image has no usable range, and the
-    degenerate flag routes the pipeline to a constant output instead.
+    Returns (edges, degenerate). The range is unusable when the edges are not
+    strictly increasing: a constant image, or a log range only a few ulps wide
+    whose edges round onto each other. The degenerate flag routes the pipeline
+    to a constant output instead.
     """
     if bins < 2:
         raise ParameterError(f"bins must be >= 2, got {bins}")
     lo, hi = log_lum.log_min, log_lum.log_max
-    degenerate = not hi > lo
     edges = lo + (hi - lo) * np.arange(bins + 1) / bins
+    degenerate = not (np.diff(edges) > 0).all()
     return edges, degenerate
-
-
-def max_scale_count(width: int, height: int) -> int:
-    """Largest scale count whose smallest field still spans at least 2x2."""
-    count = 1
-    smaller = min(width, height)
-    while smaller >= 4:
-        smaller //= 2
-        count += 1
-    return count
 
 
 def make_scale_schedule(width: int, height: int, scales: int) -> tuple[FieldExtent, ...]:
@@ -108,24 +99,20 @@ def make_scale_schedule(width: int, height: int, scales: int) -> tuple[FieldExte
 
     The first extent equals the full image dimensions, so every clamped window
     at that scale covers the whole image and the mapping degenerates to a
-    single global tone curve.
+    single global tone curve. A schedule whose smallest field would fall below
+    2x2 raises ParameterError naming the largest admissible scale count.
     """
     if width < 2 or height < 2:
         raise ParameterError(f"image must be at least 2x2, got {width}x{height}")
     if scales < 1:
         raise ParameterError(f"scales must be >= 1, got {scales}")
-    if min(width, height) < 2 ** (scales - 1):
-        warnings.warn(
-            f"{scales} scales is aggressive for a {width}x{height} image",
-            stacklevel=2,
-        )
     extents = []
     half_w, half_h = width, height
     for _ in range(scales):
         if half_w < 2 or half_h < 2:
             raise ParameterError(
                 f"{scales} scales collapse below a 2x2 field on a {width}x{height} "
-                f"image; at most {max_scale_count(width, height)} are admissible"
+                f"image; at most {len(extents)} are admissible"
             )
         extents.append(FieldExtent(half_w, half_h))
         half_w //= 2
@@ -139,57 +126,49 @@ def _clamped_window_bounds(size: int, half: int) -> tuple[np.ndarray, np.ndarray
     return np.maximum(idx - half, 0), np.minimum(idx + half + 1, size)
 
 
-def _axis_pieces(start: int, stop: int, half: int, limit: int):
-    """Split [start, stop) where the clamped window ends change form.
+def _window_runs(start: int, stop: int, half: int, size: int):
+    """Split [start, stop) into runs where the clamped window ends keep one form.
 
-    Within each piece the low end is either pinned to the zero-padded edge
-    (its table terms vanish) or slides as i - half, and the high end is either
-    pinned at `limit` or slides as i + half + 1.
+    Yields (run, hi, lo) slices: run indexes the run's positions counted from
+    start; hi and lo index a zero-padded table axis of length size + 1 at each
+    window's high and low end. hi is one pinned row or column once the high
+    end reaches size; lo is None while the low end is pinned at the zero pad,
+    whose table terms vanish.
     """
-    cuts = {start, stop}
-    cuts.add(min(max(half, start), stop))
-    cuts.add(min(max(limit - half - 1, start), stop))
-    ordered = sorted(cuts)
-    pieces = []
-    for a, b in zip(ordered[:-1], ordered[1:]):
-        if a < b:
-            pieces.append((a, b, a < half, a >= limit - half - 1))
-    return pieces
+    # the low end leaves the zero pad at index half, the high end reaches size at size - half - 1
+    cuts = sorted({start, stop} | {min(max(cut, start), stop) for cut in (half, size - half - 1)})
+    for a, b in zip(cuts, cuts[1:]):
+        hi = slice(size, size + 1) if a + half + 1 >= size else slice(a + half + 1, b + half + 1)
+        lo = None if a < half else slice(a - half, b - half)
+        yield slice(a - start, b - start), hi, lo
 
 
 def _box_window_sums(
-    table: np.ndarray,
-    half_w: int,
-    half_h: int,
-    row_start: int,
-    row_stop: int,
-    out: np.ndarray,
+    table: np.ndarray, half_w: int, half_h: int, row_start: int, row_stop: int, out: np.ndarray
 ) -> None:
-    """Clamped centered-window sums for rows [row_start, row_stop).
+    """Clamped centered-window sums for rows [row_start, row_stop) into a strip.
 
-    Pure slice arithmetic: every pixel's four-corner combination reduces, zone
-    by zone, to shifted views of the zero-padded table, so no gather indexing
-    is needed. Corners pinned to the padded edge contribute exactly zero and
-    are dropped.
+    ``out`` holds the strip only: its row 0 is ``row_start``. Pure slice
+    arithmetic: every pixel's four-corner combination reduces, run by run, to
+    shifted views of the zero-padded table, so no gather indexing is needed.
+    Corners pinned to the padded edge contribute exactly zero and are dropped.
     """
     height = table.shape[0] - 1
     width = table.shape[1] - 1
-    x_pieces = _axis_pieces(0, width, half_w, width)
-    for ya, yb, y_lo_pinned, y_hi_pinned in _axis_pieces(row_start, row_stop, half_h, height):
-        hi = table[height : height + 1] if y_hi_pinned else table[ya + half_h + 1 : yb + half_h + 1]
-        lo = None if y_lo_pinned else table[ya - half_h : yb - half_h]
-        for xa, xb, x_lo_pinned, x_hi_pinned in x_pieces:
-            block = out[ya:yb, xa:xb]
-            hi_x1 = hi[:, width : width + 1] if x_hi_pinned else hi[:, xa + half_w + 1 : xb + half_w + 1]
-            if x_lo_pinned:
-                block[...] = hi_x1
+    x_runs = list(_window_runs(0, width, half_w, width))
+    for y_run, y_hi, y_lo in _window_runs(row_start, row_stop, half_h, height):
+        hi = table[y_hi]
+        lo = None if y_lo is None else table[y_lo]
+        for x_run, x_hi, x_lo in x_runs:
+            block = out[y_run, x_run]
+            if x_lo is None:
+                block[...] = hi[:, x_hi]
             else:
-                np.subtract(hi_x1, hi[:, xa - half_w : xb - half_w], out=block)
+                np.subtract(hi[:, x_hi], hi[:, x_lo], out=block)
             if lo is not None:
-                lo_x1 = lo[:, width : width + 1] if x_hi_pinned else lo[:, xa + half_w + 1 : xb + half_w + 1]
-                np.subtract(block, lo_x1, out=block)
-                if not x_lo_pinned:
-                    np.add(block, lo[:, xa - half_w : xb - half_w], out=block)
+                np.subtract(block, lo[:, x_hi], out=block)
+                if x_lo is not None:
+                    np.add(block, lo[:, x_lo], out=block)
 
 
 def tone_map_at_scale(
@@ -250,21 +229,21 @@ def weight_map_at_scale(
     if not epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
     width, height = sums.width, sums.height
-    x_lo, x_hi = _clamped_window_bounds(width, extent.half_width)
-    y_lo, y_hi = _clamped_window_bounds(height, extent.half_height)
+    half_w, half_h = extent
+    x_lo, x_hi = _clamped_window_bounds(width, half_w)
+    y_lo, y_hi = _clamped_window_bounds(height, half_h)
     counts_x = x_hi - x_lo
     counts_y = y_hi - y_lo
 
     result = np.empty((height, width)) if out is None else out
-    scratch = np.empty((height, width))
 
     def kernel(row_start: int, row_stop: int) -> None:
         rows = slice(row_start, row_stop)
-        # first moments land in the output buffer, second moments in scratch
-        _box_window_sums(sums.table, extent.half_width, extent.half_height, row_start, row_stop, result)
-        _box_window_sums(squares.table, extent.half_width, extent.half_height, row_start, row_stop, scratch)
+        # first moments land in the output strip, second moments in a strip-local buffer
         mean = result[rows]
-        moment = scratch[rows]
+        moment = np.empty_like(mean)
+        _box_window_sums(sums.table, half_w, half_h, row_start, row_stop, mean)
+        _box_window_sums(squares.table, half_w, half_h, row_start, row_stop, moment)
         window = (counts_y[rows][:, None] * counts_x[None, :]).astype(np.float64)
         mean /= window
         moment /= window

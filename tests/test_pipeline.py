@@ -4,7 +4,7 @@ thread independence, timing capture, stage composition."""
 import numpy as np
 import pytest
 
-from wdrtone import integral, tmo
+from wdrtone import integral, oracle, tmo
 from wdrtone.errors import ParameterError
 from wdrtone.hdr_io import HdrImage, quantize_ldr
 from wdrtone.params import TmoParams
@@ -29,6 +29,18 @@ class TestToneMapImage:
         img = HdrImage(np.tile(np.array([0.2, 0.4, 0.6]), (8, 8, 1)))
         ldr, _ = tone_map_image(img, TmoParams())
         assert (ldr.pixels.reshape(-1, 3) == ldr.pixels[0, 0]).all()
+
+    def test_nearly_constant_image_is_midgray(self):
+        # a log range a few ulps wide: the bin edges round onto each other
+        px = np.full((6, 6, 3), 1e300)
+        px[2, 3] *= 1 + 334e-16
+        img = HdrImage(px)
+        arr, _ = tone_map_to_array(img)
+        assert arr == pytest.approx(np.full((6, 6, 3), 0.5))
+        expected = oracle.naive_tone_map(img).pixels
+        for threads in (1, 2):
+            ldr, _ = tone_map_image(img, threads=threads)
+            assert np.array_equal(ldr.pixels, expected)
 
     def test_output_range_and_dtype(self):
         img = random_wdr(1, 20, 24)

@@ -85,6 +85,15 @@ class TestBinEdges:
         edges, degenerate = tmo.compute_bin_edges(ll, 4)
         assert degenerate
 
+    def test_edges_one_ulp_apart_are_degenerate(self):
+        # the edges round onto each other, so bin_index_map would reject them
+        log_min = 690.7755278982137
+        log_max = np.nextafter(log_min, np.inf)
+        ll = tmo.LogLuminance(np.zeros((2, 2)), np.ones((2, 2)), log_min, log_max)
+        edges, degenerate = tmo.compute_bin_edges(ll, 5)
+        assert degenerate
+        assert not (np.diff(edges) > 0).all()
+
     def test_too_few_bins(self):
         with pytest.raises(ParameterError):
             tmo.compute_bin_edges(log_lum_from([[0.0, 1.0]]), 1)
@@ -104,26 +113,47 @@ class TestScaleSchedule:
         schedule = tmo.make_scale_schedule(640, 480, 3)
         assert list(schedule) == [(640, 480), (320, 240), (160, 120)]
 
-    def test_collapse_reports_max_admissible(self):
-        with pytest.raises(ParameterError) as err:
-            tmo.make_scale_schedule(16, 16, 5)
-        assert "at most 4" in str(err.value)
-        tmo.make_scale_schedule(16, 16, 4)  # boundary case is fine
-
-    def test_max_scale_count(self):
-        assert tmo.max_scale_count(16, 16) == 4
-        assert tmo.max_scale_count(2048, 2048) == 11
-        assert tmo.max_scale_count(2, 2) == 1
-        assert tmo.max_scale_count(640, 480) == 8
-
-    def test_small_image_warns(self):
-        with pytest.warns(UserWarning):
-            with pytest.raises(ParameterError):
-                tmo.make_scale_schedule(8, 8, 5)
+    @pytest.mark.parametrize(
+        "width,height,admissible",
+        [(16, 16, 4), (2048, 2048, 11), (2, 2, 1), (640, 480, 8), (8, 8, 3)],
+    )
+    def test_collapse_reports_max_admissible(self, width, height, admissible):
+        with pytest.raises(ParameterError, match=f"at most {admissible} are admissible"):
+            tmo.make_scale_schedule(width, height, admissible + 1)
+        # the boundary count builds, with no warning on the way
+        assert len(tmo.make_scale_schedule(width, height, admissible)) == admissible
 
     def test_tiny_image_rejected(self):
         with pytest.raises(ParameterError):
             tmo.make_scale_schedule(1, 8, 1)
+
+
+class TestBoxWindowSums:
+    # every half and strip bound covers pinned-low, pinned-high, both-pinned and
+    # sliding runs, 1-row strips, half = 0 and half >= size; the oblong rasters
+    # catch a swapped axis
+    @pytest.mark.parametrize(
+        "height,width", [(n, n) for n in range(1, 12)] + [(1, 6), (6, 1), (3, 8), (8, 3)]
+    )
+    def test_strip_sums_match_naive_clamped_windows(self, height, width):
+        rng = np.random.default_rng(height * 16 + width)
+        # integer values keep every window sum exact whatever the order of operations
+        values = rng.integers(-50, 50, (height, width)).astype(np.float64)
+        table = integral.build_integral_image(values).table
+        expected = np.empty((height, width))
+        for half_h in range(height + 3):
+            for half_w in range(width + 3):
+                for y in range(height):
+                    y0, y1 = max(y - half_h, 0), min(y + half_h + 1, height)
+                    for x in range(width):
+                        x0, x1 = max(x - half_w, 0), min(x + half_w + 1, width)
+                        expected[y, x] = oracle.naive_region_sum(values, (x0, y0, x1, y1))
+                for a in range(height):
+                    for b in range(a + 1, height + 1):
+                        out = np.full((b - a, width), np.nan)
+                        tmo._box_window_sums(table, half_w, half_h, a, b, out)
+                        # strip-relative: row 0 of out is row a of the raster
+                        assert np.array_equal(out, expected[a:b])
 
 
 class TestToneMapAtScale:

@@ -411,6 +411,24 @@ def write_pfm(image: HdrImage, little_endian: bool = True) -> bytes:
 _ENCODE_BLOCK = 1 << 15  # float64 values per encode block: 256 KiB
 
 
+def _encode_rows(rgb: np.ndarray, gamma: float, out: np.ndarray) -> None:
+    """Encode a strip of [0, 1] floats into a uint8 strip, in cache-sized blocks."""
+    inverse_gamma = 1.0 / gamma
+    source = rgb.reshape(-1)
+    target = out.reshape(-1)
+    scratch = np.empty(min(_ENCODE_BLOCK, source.size))
+    for start in range(0, source.size, _ENCODE_BLOCK):
+        block = source[start : start + _ENCODE_BLOCK]
+        # comparisons with NaN are false, so non-finite values fail here too
+        if not (block.min() >= 0.0 and block.max() <= 1.0):
+            raise RangeError("display values must lie in [0, 1]; clamp before encoding")
+        work = scratch[: block.size]
+        np.power(block, inverse_gamma, out=work)
+        np.multiply(work, 255.0, out=work)
+        np.rint(work, out=work)
+        target[start : start + block.size] = work
+
+
 def quantize_ldr(rgb: np.ndarray, gamma: float, pool: WorkerPool | None = None) -> LdrImage:
     """Quantize a [0, 1] float raster to 8 bits: round(255 * v**(1/gamma)).
 
@@ -422,25 +440,10 @@ def quantize_ldr(rgb: np.ndarray, gamma: float, pool: WorkerPool | None = None) 
     rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ParameterError(f"expected a (H, W, 3) raster, got shape {rgb.shape}")
-    inverse_gamma = 1.0 / gamma
     encoded = np.empty(rgb.shape, np.uint8)
-
-    def kernel(row_start: int, row_stop: int) -> None:
-        source = rgb[row_start:row_stop].reshape(-1)
-        target = encoded[row_start:row_stop].reshape(-1)
-        scratch = np.empty(min(_ENCODE_BLOCK, source.size))
-        for start in range(0, source.size, _ENCODE_BLOCK):
-            block = source[start : start + _ENCODE_BLOCK]
-            # comparisons with NaN are false, so non-finite values fail here too
-            if not (block.min() >= 0.0 and block.max() <= 1.0):
-                raise RangeError("display values must lie in [0, 1]; clamp before encoding")
-            work = scratch[: block.size]
-            np.power(block, inverse_gamma, out=work)
-            np.multiply(work, 255.0, out=work)
-            np.rint(work, out=work)
-            target[start : start + block.size] = work
-
-    (pool or SERIAL).run_rows(kernel, rgb.shape[0])
+    (pool or SERIAL).run_rows(
+        lambda a, b: _encode_rows(rgb[a:b], gamma, encoded[a:b]), rgb.shape[0]
+    )
     encoded.flags.writeable = False  # fresh array, skip the defensive copy
     return LdrImage(encoded)
 

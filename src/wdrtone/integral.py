@@ -13,7 +13,7 @@ count for any window with four lookups, independent of the bin count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -77,18 +77,31 @@ def _as_raster(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _sum_down_columns(plane: np.ndarray) -> None:
+    """Running sums down each column, in place: row y-1 is added into row y.
+
+    The same additions in the same order as ``cumsum(axis=0)``, but each one
+    is a contiguous row, which runs about twice as fast.
+    """
+    for y in range(1, plane.shape[0]):
+        np.add(plane[y - 1], plane[y], out=plane[y])
+
+
 def build_integral_image(values: np.ndarray, dtype=np.float64) -> IntegralImage:
     """Two-pass prefix sum with a zero top row and left column.
 
     Accumulates in ``dtype`` (float64 by default) regardless of the raster's
     own precision; single-precision accumulation degrades badly at megapixel
-    scale.
+    scale. Sums run down the columns first, then along the rows; float
+    tables depend on that order.
     """
     values = _as_raster(values)
     height, width = values.shape
     table = np.zeros((height + 1, width + 1), dtype)
-    np.cumsum(values, axis=0, dtype=dtype, out=table[1:, 1:])
-    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+    body = table[1:, 1:]
+    body[...] = values
+    _sum_down_columns(body)
+    np.cumsum(body, axis=1, out=body)
     return IntegralImage(width, height, table)
 
 
@@ -117,8 +130,12 @@ def bin_index_map(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
         raise ParameterError("need at least 3 boundaries (2 bins)")
     if not (np.diff(edges) > 0).all():
         raise ParameterError("bin edges must be strictly increasing")
-    idx = np.searchsorted(edges, values, side="right") - 1
-    return np.clip(idx, 0, len(edges) - 2).astype(np.int32)
+    # count the interior edges at or below each value; NaN compares false, so
+    # it counts every edge and lands in the top bin
+    idx = np.zeros(np.shape(values), np.int32)
+    for edge in edges[1:-1]:
+        idx += ~(values < edge)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -144,12 +161,6 @@ class IntegralHistogram:
             np.arange(self.height + 1, dtype=dtype), np.arange(self.width + 1, dtype=dtype)
         )
 
-    @cached_property
-    def flat_bin_offsets(self) -> np.ndarray:
-        """Per-pixel offset of each pixel's below-table inside the flat stack."""
-        table_cells = (self.height + 1) * (self.width + 1)
-        return self.bin_map.astype(np.intp) * table_cells
-
     def channel(self, k: int) -> IntegralImage:
         """Integral image of bin k's indicator map."""
         if not 0 <= k < self.bins:
@@ -174,9 +185,10 @@ def build_integral_histogram(
     cum = np.zeros((bins, height + 1, width + 1), dtype)
 
     def build_boundary(k: int) -> None:
-        below = bmap < k
-        np.cumsum(below, axis=0, dtype=dtype, out=cum[k, 1:, 1:])
-        np.cumsum(cum[k, 1:, 1:], axis=1, out=cum[k, 1:, 1:])
+        # integer sums are exact in any order; along the rows first is faster
+        plane = cum[k, 1:, 1:]
+        np.cumsum(bmap < k, axis=1, dtype=dtype, out=plane)
+        _sum_down_columns(plane)
 
     (pool or SERIAL).run_tasks(partial(build_boundary, k) for k in range(1, bins))
     return IntegralHistogram(

@@ -14,6 +14,10 @@ from typing import Any, Callable, Iterable
 
 from .errors import ParameterError
 
+# Rows per strip handed to a row kernel: a 1080p strip's float64 rasters stay
+# near 1 MiB, so a kernel's temporaries live in cache.
+STRIP_ROWS = 64
+
 
 def resolve_threads(threads: int) -> int:
     """Map the user-facing thread knob (0 = auto) to a concrete count."""
@@ -31,11 +35,14 @@ class WorkerPool:
         self.workers = resolve_threads(threads)
         self._executor = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
 
-    def run_rows(self, kernel: Callable[[int, int], None], height: int) -> None:
-        """Invoke kernel(row_start, row_stop) over a partition of [0, height)."""
-        strips = self.workers if height >= 2 * self.workers else 1
-        bounds = [height * i // strips for i in range(strips + 1)]
-        self.run_tasks(partial(kernel, a, b) for a, b in zip(bounds, bounds[1:]))
+    def run_rows(self, kernel: Callable[[int, int], Any], height: int) -> list:
+        """Invoke kernel(row_start, row_stop) on STRIP_ROWS-row strips of [0, height).
+
+        Returns the kernels' results in strip order.
+        """
+        return self.run_tasks(
+            partial(kernel, a, min(a + STRIP_ROWS, height)) for a in range(0, height, STRIP_ROWS)
+        )
 
     def run_tasks(self, tasks: Iterable[Callable[[], Any]]) -> list:
         """Run independent nullary tasks, in parallel when workers allow; return their results."""

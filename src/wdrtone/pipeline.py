@@ -1,9 +1,11 @@
 """Full image path: luminance -> log -> integral structures -> scale loop ->
-fusion -> color restoration, with wall-clock capture per stage.
+fusion -> color restoration -> gamma encode, with wall-clock capture per stage.
 
 The integral histogram and both summed-area tables are built exactly once per
-call; only the per-scale window queries repeat. Per-pixel stages farm out over
-a worker pool whose size never changes the output bits.
+call; only the per-scale window queries repeat. Everything after those builds
+runs as one kernel per row strip on a worker pool, so no full-frame fusion or
+display raster is kept; neither strip height nor worker count changes the
+output bits.
 """
 
 from __future__ import annotations
@@ -17,14 +19,22 @@ import numpy as np
 
 from . import integral, tmo
 from .errors import ParameterError
-from .hdr_io import HdrImage, LdrImage, quantize_ldr
+from .hdr_io import HdrImage, LdrImage, _encode_rows
 from .parallel import WorkerPool
 from .params import TmoParams
 
 
 @dataclass
 class StageTimings:
-    """Milliseconds spent per pipeline stage; loop stages accumulate over scales."""
+    """Milliseconds spent per pipeline stage; loop stages accumulate over scales.
+
+    Tone map, weights, fusion and colour restore run in one pass over
+    fixed-height row strips, together with the gamma encode. Each strip times
+    its own stages, and the pass's wall time is split across those four fields
+    in proportion to their per-strip times summed over all strips. The encode's
+    share stays in ``total_ms`` alone. The split is exact at one thread, and
+    the stages never sum to more than ``total_ms`` at any thread count.
+    """
 
     luminance_ms: float = 0.0
     log_edges_ms: float = 0.0
@@ -50,83 +60,107 @@ class StageTimings:
         return "\n".join(f"{name}: {ms:.3f}" for name, ms in self.as_dict().items())
 
 
+# the strip pass's staged fields; its encode lap is timed but stays unstaged
+_STRIP_STAGES = ("tone_map_ms", "weights_ms", "fusion_ms", "color_restore_ms")
+
+
 @contextmanager
 def _timed(timings: StageTimings, field: str) -> Iterator[None]:
-    """Add the wall time of the block, in ms, to one field; loop stages accumulate."""
+    """Add the wall time of the block, in ms, to one field."""
     mark = time.perf_counter()
     yield
     setattr(timings, field, getattr(timings, field) + (time.perf_counter() - mark) * 1e3)
-
-
-def _tone_map_display(
-    image: HdrImage, params: TmoParams, pool: WorkerPool, timings: StageTimings
-) -> np.ndarray:
-    """Shared pipeline body; fills the stage timings, returns the [0, 1] display raster."""
-    height, width = image.height, image.width
-
-    with _timed(timings, "luminance_ms"):
-        luminance = tmo.rgb_to_luminance(image)
-
-    with _timed(timings, "log_edges_ms"):
-        floor = tmo.resolve_log_floor(luminance, params.log_floor)
-        log_lum = tmo.log_transform(luminance, floor)
-        del luminance
-        edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
-        schedule = None if degenerate else tmo.make_scale_schedule(width, height, params.scales)
-
-    if degenerate:
-        # no usable range: emit constant mid-gray
-        fused = np.full((height, width), (params.display_min + params.display_max) / 2.0)
-    else:
-        with _timed(timings, "integral_histogram_ms"):
-            hist = integral.build_integral_histogram(log_lum.values, edges, pool)
-
-        with _timed(timings, "integral_images_ms"):
-            values = log_lum.values  # squared inside its task, so freed before the scale loop
-            build = integral.build_integral_image
-            sums, squares = pool.run_tasks((lambda: build(values), lambda: build(values * values)))
-
-        numerator = np.zeros((height, width))
-        weight_sum = np.zeros((height, width))
-        value_sum = np.zeros((height, width))
-        scale_values = np.empty((height, width))
-        scale_weights = np.empty((height, width))
-        for extent in schedule:
-            with _timed(timings, "tone_map_ms"):
-                tmo.tone_map_at_scale(log_lum, hist, extent, params, pool=pool, out=scale_values)
-
-            with _timed(timings, "weights_ms"):
-                tmo.weight_map_at_scale(
-                    sums, squares, extent, params.epsilon, pool=pool, out=scale_weights
-                )
-
-            with _timed(timings, "fusion_ms"):
-                # scale_weights is rewritten next scale, so the accumulator may clobber it
-                tmo.accumulate_scale(
-                    numerator, weight_sum, value_sum, scale_values, scale_weights, pool=pool
-                )
-
-        with _timed(timings, "fusion_ms"):
-            fused = tmo.finalize_fusion(numerator, weight_sum, value_sum, len(schedule))
-
-    with _timed(timings, "color_restore_ms"):
-        display = tmo.restore_color(image, log_lum.floored, fused, params.saturation, pool=pool)
-        np.clip(display, 0.0, params.display_max, out=display)
-        display /= params.display_max
-    return display
 
 
 def _tone_map(
     image: HdrImage, params: TmoParams | None, threads: int, encode: bool
 ) -> tuple[np.ndarray | LdrImage, StageTimings]:
     params = params or TmoParams()
-    if image.width < 2 or image.height < 2:
-        raise ParameterError(f"image must be at least 2x2, got {image.width}x{image.height}")
+    height, width = image.height, image.width
+    if width < 2 or height < 2:
+        raise ParameterError(f"image must be at least 2x2, got {width}x{height}")
     timings = StageTimings()
     with _timed(timings, "total_ms"), WorkerPool(threads) as pool:
-        result = _tone_map_display(image, params, pool, timings)
+        with _timed(timings, "luminance_ms"):
+            luminance = tmo.rgb_to_luminance(image)
+
+        with _timed(timings, "log_edges_ms"):
+            floor = tmo.resolve_log_floor(luminance, params.log_floor)
+            log_lum = tmo.log_transform(luminance, floor)
+            del luminance
+            edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
+            schedule = () if degenerate else tmo.make_scale_schedule(width, height, params.scales)
+
+        if not degenerate:
+            with _timed(timings, "integral_histogram_ms"):
+                hist = integral.build_integral_histogram(log_lum.values, edges, pool)
+
+            with _timed(timings, "integral_images_ms"):
+                log_values = log_lum.values  # squared inside its task, so freed at once
+                build = integral.build_integral_image
+                sums, squares = pool.run_tasks(
+                    (lambda: build(log_values), lambda: build(log_values * log_values))
+                )
+                del log_values
+        floored = log_lum.floored
+        del log_lum  # the strips read the tables, never the log raster
+
+        # tone_map_to_array returns the display raster; tone_map_image keeps
+        # only a strip of it at a time
+        result = np.empty((height, width, 3), np.uint8) if encode else np.zeros_like(image.pixels)
+
+        def strip(row_start: int, row_stop: int) -> dict[str, float]:
+            """Every stage after the integral builds over one strip; seconds per stage."""
+            rows = slice(row_start, row_stop)
+            shape = (row_stop - row_start, width)
+            spent = dict.fromkeys((*_STRIP_STAGES, "encode"), 0.0)
+            mark = time.perf_counter()
+
+            def lap(stage: str) -> None:
+                nonlocal mark
+                now = time.perf_counter()
+                spent[stage] += now - mark
+                mark = now
+
+            if degenerate:
+                # no usable range: emit constant mid-gray
+                fused = np.full(shape, (params.display_min + params.display_max) / 2.0)
+            else:
+                offsets = tmo._strip_bin_offsets(hist, row_start, row_stop)
+                numerator, weight_sum, value_sum = np.zeros((3, *shape))
+                values, weights = np.empty((2, *shape))
+                for extent in schedule:
+                    tmo._tone_map_rows(row_start, row_stop, hist, extent, params, offsets, values)
+                    lap("tone_map_ms")
+                    tmo._weight_rows(
+                        row_start, row_stop, sums, squares, extent, params.epsilon, weights
+                    )
+                    lap("weights_ms")
+                    # weights are rewritten next scale, so the accumulator may clobber them
+                    tmo._accumulate_rows(numerator, weight_sum, value_sum, values, weights)
+                    lap("fusion_ms")
+                fused = tmo.finalize_fusion(numerator, weight_sum, value_sum, len(schedule))
+            lap("fusion_ms")
+
+            display = np.zeros_like(image.pixels[rows]) if encode else result[rows]
+            tmo._restore_rows(image.pixels[rows], floored[rows], fused, params.saturation, display)
+            np.clip(display, 0.0, params.display_max, out=display)
+            display /= params.display_max
+            lap("color_restore_ms")
+            if encode:
+                _encode_rows(display, params.gamma, result[rows])
+                lap("encode")
+            return spent
+
+        mark = time.perf_counter()
+        laps = pool.run_rows(strip, height)
+        wall_ms = (time.perf_counter() - mark) * 1e3
+        strip_seconds = sum(sum(spent.values()) for spent in laps)
+        for field in _STRIP_STAGES:
+            setattr(timings, field, wall_ms * sum(spent[field] for spent in laps) / strip_seconds)
         if encode:
-            result = quantize_ldr(result, params.gamma, pool=pool)
+            result.flags.writeable = False  # fresh array, skip the defensive copy
+            result = LdrImage(result)
     return result, timings
 
 

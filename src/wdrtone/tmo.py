@@ -120,9 +120,11 @@ def make_scale_schedule(width: int, height: int, scales: int) -> tuple[FieldExte
     return tuple(extents)
 
 
-def _clamped_window_bounds(size: int, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate window bounds [lo, hi) after clamping to [0, size)."""
-    idx = np.arange(size, dtype=np.intp)
+def _clamped_window_bounds(
+    start: int, stop: int, half: int, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window bounds [lo, hi) of positions [start, stop) after clamping to [0, size)."""
+    idx = np.arange(start, stop, dtype=np.intp)
     return np.maximum(idx - half, 0), np.minimum(idx + half + 1, size)
 
 
@@ -171,13 +173,44 @@ def _box_window_sums(
                     np.add(block, lo[:, x_lo], out=block)
 
 
+def _strip_bin_offsets(hist: IntegralHistogram, row_start: int, row_stop: int) -> np.ndarray:
+    """Offset of each strip pixel's own below-table inside the flat cum_below stack."""
+    table_cells = (hist.height + 1) * (hist.width + 1)
+    return hist.bin_map[row_start:row_stop].astype(np.intp) * table_cells
+
+
+def _tone_map_rows(
+    row_start: int,
+    row_stop: int,
+    hist: IntegralHistogram,
+    extent: FieldExtent,
+    params: TmoParams,
+    bin_offsets: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Display values of rows [row_start, row_stop) at one field size into a strip.
+
+    ``bin_offsets`` is the strip's ``_strip_bin_offsets``; it does not depend
+    on the field size, so a caller running several scales computes it once.
+    """
+    x_lo, x_hi = _clamped_window_bounds(0, hist.width, extent.half_width, hist.width)
+    y_lo, y_hi = _clamped_window_bounds(row_start, row_stop, extent.half_height, hist.height)
+    flat = hist.cum_below.reshape(-1)
+    row_stride = hist.width + 1
+    top = bin_offsets + (y_hi * row_stride)[:, None]
+    bottom = bin_offsets + (y_lo * row_stride)[:, None]
+    below = flat[top + x_hi] - flat[bottom + x_hi] - flat[top + x_lo] + flat[bottom + x_lo]
+    window = (y_hi - y_lo)[:, None] * (x_hi - x_lo)[None, :]
+    span = params.display_max - params.display_min
+    out[...] = params.display_min + span * (below / window)
+
+
 def tone_map_at_scale(
     log_lum: LogLuminance,
     hist: IntegralHistogram,
     extent: FieldExtent,
     params: TmoParams,
     pool: WorkerPool | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-pixel display value for one receptive field size.
 
@@ -191,28 +224,44 @@ def tone_map_at_scale(
         raise ContractViolationError(
             f"histogram is {hist.width}x{hist.height}, raster is {width}x{height}"
         )
-    x_lo, x_hi = _clamped_window_bounds(width, extent.half_width)
-    y_lo, y_hi = _clamped_window_bounds(height, extent.half_height)
-    counts_x = x_hi - x_lo
-    counts_y = y_hi - y_lo
-
-    flat = hist.cum_below.reshape(-1)
-    offsets = hist.flat_bin_offsets
-    row_stride = width + 1
-    low = params.display_min
-    span = params.display_max - params.display_min
-    result = np.empty((height, width)) if out is None else out
+    result = np.empty((height, width))
 
     def kernel(row_start: int, row_stop: int) -> None:
-        base = offsets[row_start:row_stop]
-        top = base + (y_hi[row_start:row_stop] * row_stride)[:, None]
-        bottom = base + (y_lo[row_start:row_stop] * row_stride)[:, None]
-        below = flat[top + x_hi] - flat[bottom + x_hi] - flat[top + x_lo] + flat[bottom + x_lo]
-        window = counts_y[row_start:row_stop, None] * counts_x[None, :]
-        result[row_start:row_stop] = low + span * (below / window)
+        offsets = _strip_bin_offsets(hist, row_start, row_stop)
+        _tone_map_rows(
+            row_start, row_stop, hist, extent, params, offsets, result[row_start:row_stop]
+        )
 
     (pool or SERIAL).run_rows(kernel, height)
     return result
+
+
+def _weight_rows(
+    row_start: int,
+    row_stop: int,
+    sums: IntegralImage,
+    squares: IntegralImage,
+    extent: FieldExtent,
+    epsilon: float,
+    out: np.ndarray,
+) -> None:
+    """Variance weights of rows [row_start, row_stop) at one field size into a strip."""
+    half_w, half_h = extent
+    x_lo, x_hi = _clamped_window_bounds(0, sums.width, half_w, sums.width)
+    y_lo, y_hi = _clamped_window_bounds(row_start, row_stop, half_h, sums.height)
+    # first moments land in the output strip, second moments in a strip-local buffer
+    mean = out
+    moment = np.empty_like(mean)
+    _box_window_sums(sums.table, half_w, half_h, row_start, row_stop, mean)
+    _box_window_sums(squares.table, half_w, half_h, row_start, row_stop, moment)
+    window = ((y_hi - y_lo)[:, None] * (x_hi - x_lo)[None, :]).astype(np.float64)
+    mean /= window
+    moment /= window
+    np.multiply(mean, mean, out=mean)
+    np.subtract(moment, mean, out=mean)  # population variance
+    np.maximum(mean, 0.0, out=mean)  # cancellation on near-constant windows
+    np.add(mean, epsilon, out=moment)
+    np.divide(mean, moment, out=mean)
 
 
 def weight_map_at_scale(
@@ -221,40 +270,35 @@ def weight_map_at_scale(
     extent: FieldExtent,
     epsilon: float,
     pool: WorkerPool | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Window-variance weight var / (var + epsilon), one value per pixel in [0, 1)."""
     if (sums.width, sums.height) != (squares.width, squares.height):
         raise ContractViolationError("luminance and squared-luminance tables disagree in size")
     if not epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
-    width, height = sums.width, sums.height
-    half_w, half_h = extent
-    x_lo, x_hi = _clamped_window_bounds(width, half_w)
-    y_lo, y_hi = _clamped_window_bounds(height, half_h)
-    counts_x = x_hi - x_lo
-    counts_y = y_hi - y_lo
-
-    result = np.empty((height, width)) if out is None else out
-
-    def kernel(row_start: int, row_stop: int) -> None:
-        rows = slice(row_start, row_stop)
-        # first moments land in the output strip, second moments in a strip-local buffer
-        mean = result[rows]
-        moment = np.empty_like(mean)
-        _box_window_sums(sums.table, half_w, half_h, row_start, row_stop, mean)
-        _box_window_sums(squares.table, half_w, half_h, row_start, row_stop, moment)
-        window = (counts_y[rows][:, None] * counts_x[None, :]).astype(np.float64)
-        mean /= window
-        moment /= window
-        np.multiply(mean, mean, out=mean)
-        np.subtract(moment, mean, out=mean)  # population variance
-        np.maximum(mean, 0.0, out=mean)  # cancellation on near-constant windows
-        np.add(mean, epsilon, out=moment)
-        np.divide(mean, moment, out=mean)
-
-    (pool or SERIAL).run_rows(kernel, height)
+    result = np.empty((sums.height, sums.width))
+    (pool or SERIAL).run_rows(
+        lambda a, b: _weight_rows(a, b, sums, squares, extent, epsilon, result[a:b]), sums.height
+    )
     return result
+
+
+def _accumulate_rows(
+    numerator: np.ndarray,
+    weight_sum: np.ndarray,
+    value_sum: np.ndarray,
+    values: np.ndarray,
+    weights: np.ndarray,
+) -> None:
+    """Add one scale's values and weights into the running fusion sums of a strip.
+
+    ``weights`` is overwritten with ``weights * values``: the product needs no
+    buffer of its own. Callers that still need the weights pass a copy.
+    """
+    weight_sum += weights
+    value_sum += values
+    weights *= values
+    numerator += weights
 
 
 def finalize_fusion(
@@ -263,34 +307,14 @@ def finalize_fusion(
     value_sum: np.ndarray,
     scale_count: int,
 ) -> np.ndarray:
-    """Weighted mean, falling back to the plain mean where all weights vanish."""
-    degenerate = weight_sum < FUSION_WEIGHT_FLOOR
-    safe = np.where(degenerate, 1.0, weight_sum)
-    return np.where(degenerate, value_sum / scale_count, numerator / safe)
+    """Weighted mean, falling back to the plain mean where all weights vanish.
 
-
-def accumulate_scale(
-    numerator: np.ndarray,
-    weight_sum: np.ndarray,
-    value_sum: np.ndarray,
-    values: np.ndarray,
-    weights: np.ndarray,
-    pool: WorkerPool | None = None,
-) -> None:
-    """Add one scale's values and weights into the running fusion sums.
-
-    ``weights`` is overwritten with ``weights * values``: the product needs no
-    buffer of its own. Callers that still need the weights pass a copy.
+    Written in place into ``numerator``, which is returned.
     """
-
-    def kernel(row_start: int, row_stop: int) -> None:
-        rows = slice(row_start, row_stop)
-        weight_sum[rows] += weights[rows]
-        value_sum[rows] += values[rows]
-        weights[rows] *= values[rows]
-        numerator[rows] += weights[rows]
-
-    (pool or SERIAL).run_rows(kernel, values.shape[0])
+    degenerate = weight_sum < FUSION_WEIGHT_FLOOR
+    np.divide(numerator, weight_sum, out=numerator, where=~degenerate)
+    np.divide(value_sum, scale_count, out=numerator, where=degenerate)
+    return numerator
 
 
 def fuse_scales(
@@ -305,12 +329,36 @@ def fuse_scales(
     for arr in (*values, *weights):
         if arr.shape != shape:
             raise ContractViolationError("fusion inputs must share one shape")
-    numerator = np.zeros(shape)
-    weight_sum = np.zeros(shape)
-    value_sum = np.zeros(shape)
-    for value, weight in zip(values, weights):
-        accumulate_scale(numerator, weight_sum, value_sum, value, np.array(weight, np.float64))
-    return finalize_fusion(numerator, weight_sum, value_sum, len(values))
+    result = np.empty(shape)
+
+    def kernel(row_start: int, row_stop: int) -> None:
+        rows = slice(row_start, row_stop)
+        numerator, weight_sum, value_sum = np.zeros((3, row_stop - row_start, *shape[1:]))
+        for value, weight in zip(values, weights):
+            _accumulate_rows(
+                numerator, weight_sum, value_sum, value[rows], np.array(weight[rows], np.float64)
+            )
+        result[rows] = finalize_fusion(numerator, weight_sum, value_sum, len(values))
+
+    SERIAL.run_rows(kernel, shape[0])
+    return result
+
+
+def _restore_rows(
+    pixels: np.ndarray,
+    luminance_in: np.ndarray,
+    luminance_out: np.ndarray,
+    saturation: float,
+    out: np.ndarray,
+) -> None:
+    """(C/L_in)**sat * L_out over a strip into a zeroed ``out``.
+
+    Pixels whose L_in is not positive are left as they are, so they stay zero.
+    """
+    lum = luminance_in[:, :, None]
+    np.divide(pixels, lum, out=out, where=lum > 0)
+    np.power(out, saturation, out=out)
+    np.multiply(out, luminance_out[:, :, None], out=out)
 
 
 def restore_color(
@@ -327,14 +375,10 @@ def restore_color(
     if luminance_in.shape != px.shape[:2] or luminance_out.shape != px.shape[:2]:
         raise ContractViolationError("luminance rasters must match the image size")
     result = np.zeros_like(px)
-
-    def kernel(row_start: int, row_stop: int) -> None:
-        chunk = px[row_start:row_stop]
-        block = result[row_start:row_stop]
-        lum = luminance_in[row_start:row_stop, :, None]
-        np.divide(chunk, lum, out=block, where=lum > 0)
-        np.power(block, saturation, out=block)
-        np.multiply(block, luminance_out[row_start:row_stop, :, None], out=block)
-
-    (pool or SERIAL).run_rows(kernel, px.shape[0])
+    (pool or SERIAL).run_rows(
+        lambda a, b: _restore_rows(
+            px[a:b], luminance_in[a:b], luminance_out[a:b], saturation, result[a:b]
+        ),
+        px.shape[0],
+    )
     return result

@@ -167,6 +167,21 @@ class TestBinning:
         with pytest.raises(ParameterError):
             integral.bin_index_map(np.zeros((2, 2)), np.array([0.0, 1.0, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("bins", range(2, 12))
+    def test_matches_searchsorted_on_and_beside_every_edge(self, bins):
+        lo, hi = -3.7, 5.2
+        edges = lo + (hi - lo) * np.arange(bins + 1) / bins
+        values = np.concatenate([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [lo - 1.0, hi + 1.0, -np.inf, np.inf, np.nan],
+        ])
+        reference = np.clip(np.searchsorted(edges, values, "right") - 1, 0, bins - 1)
+        fast = integral.bin_index_map(values, edges)
+        assert fast.dtype == np.int32
+        assert fast.tolist() == reference.tolist()
+
     def test_matches_oracle_rule(self):
         rng = np.random.default_rng(31)
         values = rng.normal(0, 1, (12, 12))

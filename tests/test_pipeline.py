@@ -1,10 +1,12 @@
 """Pipeline orchestration: determinism, single-build property, degeneracy,
 thread independence, timing capture, stage composition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from wdrtone import integral, oracle, tmo
+from wdrtone import cli, integral, oracle, parallel, tmo
 from wdrtone.errors import ParameterError
 from wdrtone.hdr_io import HdrImage, quantize_ldr
 from wdrtone.params import TmoParams
@@ -64,6 +66,34 @@ class TestToneMapImage:
         arr4, _ = tone_map_to_array(img, params, threads=4)
         assert np.array_equal(arr1, arr2)
         assert np.array_equal(arr1, arr4)
+
+    @pytest.mark.parametrize("height, width", [(37, 53), (130, 70)])
+    def test_strip_height_does_not_change_bits(self, monkeypatch, height, width):
+        img = random_wdr(10, height, width)
+        params = TmoParams(bins=5, scales=3)
+        reference = None
+        for strip_rows in (1, 3, 64, 4096):
+            monkeypatch.setattr(parallel, "STRIP_ROWS", strip_rows)
+            for threads in (1, 3):
+                ldr, _ = tone_map_image(img, params, threads=threads)
+                arr, _ = tone_map_to_array(img, params, threads=threads)
+                if reference is None:
+                    reference = ldr.pixels, arr
+                assert np.array_equal(ldr.pixels, reference[0]), (strip_rows, threads)
+                assert arr.tobytes() == reference[1].tobytes(), (strip_rows, threads)
+
+    def test_peak_traced_memory(self):
+        # the full-frame fusion and display rasters stay out of the strip pass
+        img = cli.synthetic_wdr(541, 769)
+        params = TmoParams(bins=8, scales=5)
+        for run, limit_mib in ((tone_map_image, 40), (tone_map_to_array, 48)):
+            tracemalloc.start()
+            try:
+                run(img, params, threads=1)
+                peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+            assert peak_mib <= limit_mib, f"{run.__name__}: {peak_mib:.2f} MiB"
 
     def test_too_small_image_rejected(self):
         with pytest.raises(ParameterError):
@@ -160,6 +190,14 @@ class TestStageTimings:
         assert timings.total_ms >= 0.9 * timings.stage_sum_ms()
         for name in timings.stage_names():
             assert getattr(timings, name) >= 0.0
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_strip_pass_split_stays_within_total(self, threads):
+        img = random_wdr(11, 130, 70)
+        _, timings = tone_map_image(img, TmoParams(bins=5, scales=3), threads=threads)
+        assert timings.stage_sum_ms() <= timings.total_ms
+        for name in ("tone_map_ms", "weights_ms", "fusion_ms", "color_restore_ms"):
+            assert getattr(timings, name) > 0.0, name
 
     def test_degenerate_path_skips_integral_stages(self):
         img = HdrImage(np.full((16, 16, 3), 1.0))

@@ -178,6 +178,12 @@ def _read_flat_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> i
 
 
 def _read_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> int:
+    """Read one scanline into ``row`` ((width, 4) uint8); return the next offset.
+
+    Adaptive RLE stores the four components one after another, each as codes:
+    c > 128 repeats the next byte c - 128 times, 0 < c <= 128 copies the next c
+    bytes. Each code appends a bytes object, and one join fills the row.
+    """
     if width < _RLE_MIN_WIDTH or width > _RLE_MAX_WIDTH:
         return _read_flat_scanline(data, pos, width, row)
     if pos + 4 > len(data):
@@ -187,43 +193,53 @@ def _read_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> int:
     if (data[pos + 2] << 8 | data[pos + 3]) != width:
         raise HdrFormatError("RLE scanline width disagrees with header")
     pos += 4
-    for c in range(4):
+    size = len(data)
+    parts: list[bytes] = []
+    append = parts.append
+    for _ in range(4):
         x = 0
         while x < width:
-            if pos >= len(data):
+            if pos >= size:
                 raise TruncationError("RLE scanline truncated")
             code = data[pos]
             pos += 1
             if code > 128:
                 run = code - 128
-                if pos >= len(data):
+                if pos >= size:
                     raise TruncationError("RLE run truncated")
                 if x + run > width:
                     raise HdrFormatError("RLE run overruns scanline")
-                row[x : x + run, c] = data[pos]
+                append(data[pos : pos + 1] * run)
                 pos += 1
                 x += run
             else:
                 if code == 0:
                     raise HdrFormatError("zero-length RLE literal")
-                if pos + code > len(data):
+                if pos + code > size:
                     raise TruncationError("RLE literal truncated")
                 if x + code > width:
                     raise HdrFormatError("RLE literal overruns scanline")
-                row[x : x + code, c] = np.frombuffer(data, np.uint8, code, pos)
+                append(data[pos : pos + code])
                 pos += code
                 x += code
+    row[:] = np.frombuffer(b"".join(parts), np.uint8).reshape(4, width).T
     return pos
+
+
+# Radiance per exponent byte: (m / 256) * 2**(e - 128) == m * 2**(e - 136), and
+# exponent 0 is true black whatever the mantissas hold.
+_EXPONENT_SCALE = np.ldexp(1.0, np.arange(256) - 136)
+_EXPONENT_SCALE[0] = 0.0
+_EXPONENT_SCALE.flags.writeable = False
 
 
 def rgbe_to_radiance(rgbe: np.ndarray) -> np.ndarray:
     """Decode (..., 4) uint8 RGBE pixels to (..., 3) float64 linear radiance."""
     rgbe = np.asarray(rgbe, dtype=np.uint8)
-    exponents = rgbe[..., 3].astype(np.int32)
-    # (m / 256) * 2**(e - 128) == m * 2**(e - 136)
-    scale = np.ldexp(1.0, exponents - 136)
-    rgb = rgbe[..., :3].astype(np.float64) * scale[..., None]
-    rgb[exponents == 0] = 0.0
+    scale = _EXPONENT_SCALE[rgbe[..., 3]]
+    rgb = np.empty(rgbe.shape[:-1] + (3,))
+    for c in range(3):  # one long loop per channel, not a 3-long broadcast
+        np.multiply(rgbe[..., c], scale, out=rgb[..., c])
     return rgb
 
 
@@ -252,7 +268,8 @@ def radiance_to_rgbe(pixels: np.ndarray) -> np.ndarray:
 
 def read_radiance_hdr(data: bytes) -> HdrImage:
     """Decode a Radiance ``.hdr`` byte stream (flat and RLE scanlines)."""
-    width, height, pos = _parse_radiance_header(bytes(data))
+    data = bytes(data)  # one object for header and scanlines; RLE runs repeat its slices
+    width, height, pos = _parse_radiance_header(data)
     if height > (len(data) - pos) // 4:  # every scanline takes at least 4 bytes
         raise TruncationError(f"{len(data) - pos} payload bytes cannot hold {height} scanlines")
     if width * height > MAX_RADIANCE_PIXELS:

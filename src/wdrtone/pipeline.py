@@ -107,7 +107,7 @@ def _tone_map(
 
         # tone_map_to_array returns the display raster; tone_map_image keeps
         # only a strip of it at a time
-        result = np.empty((height, width, 3), np.uint8) if encode else np.zeros_like(image.pixels)
+        result = np.empty((height, width, 3), np.uint8 if encode else np.float64)
 
         def strip(row_start: int, row_stop: int) -> dict[str, float]:
             """Every stage after the integral builds over one strip; seconds per stage."""
@@ -142,7 +142,7 @@ def _tone_map(
                 fused = tmo.finalize_fusion(numerator, weight_sum, value_sum, len(schedule))
             lap("fusion_ms")
 
-            display = np.zeros_like(image.pixels[rows]) if encode else result[rows]
+            display = np.empty((*shape, 3)) if encode else result[rows]
             tmo._restore_rows(image.pixels[rows], floored[rows], fused, params.saturation, display)
             np.clip(display, 0.0, params.display_max, out=display)
             display /= params.display_max

@@ -351,12 +351,8 @@ def _restore_rows(
     saturation: float,
     out: np.ndarray,
 ) -> None:
-    """(C/L_in)**sat * L_out over a strip into a zeroed ``out``.
-
-    Pixels whose L_in is not positive are left as they are, so they stay zero.
-    """
-    lum = luminance_in[:, :, None]
-    np.divide(pixels, lum, out=out, where=lum > 0)
+    """(C/L_in)**sat * L_out over a strip into ``out``; every L_in must be positive."""
+    np.divide(pixels, luminance_in[:, :, None], out=out)
     np.power(out, saturation, out=out)
     np.multiply(out, luminance_out[:, :, None], out=out)
 
@@ -374,11 +370,19 @@ def restore_color(
     px = image.pixels
     if luminance_in.shape != px.shape[:2] or luminance_out.shape != px.shape[:2]:
         raise ContractViolationError("luminance rasters must match the image size")
-    result = np.zeros_like(px)
+    # pixels with no positive L_in get 0**sat * L_out: divide them by 1, then
+    # overwrite them (0 * L_out keeps the sign of L_out, and NaN for inf or NaN)
+    dark = ~(luminance_in > 0)
+    any_dark = bool(dark.any())
+    if any_dark:
+        luminance_in = np.where(dark, 1.0, luminance_in)
+    result = np.empty_like(px)
     (pool or SERIAL).run_rows(
         lambda a, b: _restore_rows(
             px[a:b], luminance_in[a:b], luminance_out[a:b], saturation, result[a:b]
         ),
         px.shape[0],
     )
+    if any_dark:
+        result[dark] = 0.0 * luminance_out[dark][:, None]
     return result

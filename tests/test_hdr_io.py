@@ -1,5 +1,6 @@
 """RGBE / PFM codec tests: hand-assembled files, round-trips, error paths."""
 
+import math
 import struct
 import tracemalloc
 import warnings
@@ -48,6 +49,22 @@ def radiance_bytes(width, height, rgbe_rows):
 
 def hdr_from_values(values):
     return hdr_io.HdrImage(np.asarray(values, dtype=np.float64))
+
+
+RADIANCE_HEADER = "#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y {} +X {}\n"
+
+
+def rle_scanline(width, components):
+    """One adaptive-RLE scanline from four hand-written code streams."""
+    return bytes((2, 2, width >> 8, width & 0xFF)) + b"".join(components)
+
+
+def run(value, length):
+    return bytes((128 + length, value))
+
+
+def literal(values):
+    return bytes((len(values),)) + bytes(values)
 
 
 class TestRadianceDecode:
@@ -122,6 +139,102 @@ class TestRadianceDecode:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestRleScanlines:
+    def test_run_of_127(self):
+        width = 127
+        row = rle_scanline(width, [run(200, 127), run(10, 127), run(0, 127), run(130, 127)])
+        img = hdr_io.read_radiance_hdr(RADIANCE_HEADER.format(1, width).encode() + row)
+        expected = [math.ldexp(m, 130 - 136) for m in (200, 10, 0)]
+        assert np.array_equal(img.pixels[0], np.tile(expected, (width, 1)))
+
+    def test_literal_of_128(self):
+        width = 128
+        red = list(range(128, 256))
+        row = rle_scanline(width, [literal(red), run(5, 127) + run(5, 1), literal([0] * 128), run(129, 127) + literal([129])])
+        img = hdr_io.read_radiance_hdr(RADIANCE_HEADER.format(1, width).encode() + row)
+        assert img.pixels[0, :, 0].tolist() == [math.ldexp(m, 129 - 136) for m in red]
+        assert (img.pixels[0, :, 1] == math.ldexp(5, -7)).all()
+        assert (img.pixels[0, :, 2] == 0.0).all()
+
+    def test_run_ending_exactly_at_the_width(self):
+        width = 10
+        component = literal([131, 132, 133]) + run(140, 7)
+        row = rle_scanline(width, [component] * 3 + [run(128, 10)])
+        img = hdr_io.read_radiance_hdr(RADIANCE_HEADER.format(1, width).encode() + row)
+        expected = np.array([131, 132, 133] + [140] * 7) / 256.0
+        assert np.array_equal(img.pixels[0], np.repeat(expected[:, None], 3, axis=1))
+
+    def test_literal_overrunning_by_one_raises(self):
+        width = 10
+        component = run(140, 7) + literal([1, 2, 3, 4])
+        row = rle_scanline(width, [component] * 3 + [run(128, 10)])
+        with pytest.raises(HdrFormatError, match="RLE literal overruns scanline"):
+            hdr_io.read_radiance_hdr(RADIANCE_HEADER.format(1, width).encode() + row)
+
+    def test_flat_and_rle_scanlines_mix_in_one_file(self):
+        width = 8
+        rle_row = rle_scanline(width, [run(160, 8), literal(range(200, 208)), run(0, 8), run(129, 8)])
+        flat_row = bytes(np.arange(32, dtype=np.uint8) | 0x80)
+        data = RADIANCE_HEADER.format(3, width).encode() + rle_row + flat_row + rle_row
+        img = hdr_io.read_radiance_hdr(data)
+        expected_rle = np.stack([np.full(8, 160), np.arange(200, 208), np.zeros(8)], axis=1) / 128.0
+        flat = np.frombuffer(flat_row, np.uint8).reshape(8, 4).tolist()
+        expected_flat = [[math.ldexp(m, e - 136) for m in (r, g, b)] for r, g, b, e in flat]
+        assert np.array_equal(img.pixels[0], expected_rle)
+        assert np.array_equal(img.pixels[1], expected_flat)
+        assert np.array_equal(img.pixels[2], expected_rle)
+
+    def test_bytes_bytearray_and_memoryview_decode_alike(self):
+        img = hdr_from_values(np.exp(np.random.default_rng(4).normal(0, 2, (3, 20, 3))))
+        data = hdr_io.write_radiance_hdr(img)
+        decoded = [hdr_io.read_radiance_hdr(kind(data)).pixels for kind in (bytes, bytearray, memoryview)]
+        assert np.array_equal(decoded[0], decoded[1])
+        assert np.array_equal(decoded[0], decoded[2])
+
+
+class TestLegacyRepeatMarkers:
+    # literals, a marker, a literal, then two consecutive markers: the second
+    # repeats 1 << 8 times, because consecutive markers shift by 8
+    PIXELS = [(200, 10, 10, 130), (150, 20, 30, 129), (140, 0, 0, 128), (1, 1, 1, 2),
+              (130, 130, 130, 131), (1, 1, 1, 1), (1, 1, 1, 1), (255, 1, 2, 127)]
+    WIDTH = 3 + 2 + 1 + 1 + 256 + 1
+
+    def expected_rgbe(self):
+        p = self.PIXELS
+        return np.array([p[0], p[1], p[2], p[2], p[2], p[4]] + [p[4]] * 257 + [p[7]], np.uint8)
+
+    def test_markers_expand_with_shift_for_consecutive_markers(self):
+        data = radiance_bytes(self.WIDTH, 2, [self.PIXELS] * 2)
+        img = hdr_io.read_radiance_hdr(data)
+        expected = hdr_io.rgbe_to_radiance(self.expected_rgbe())
+        assert np.array_equal(img.pixels, np.stack([expected, expected]))
+
+    @pytest.mark.parametrize(
+        "pixels, width, message",
+        [
+            ([(1, 1, 1, 3), (128, 128, 128, 128)], 4, "repeat marker with no preceding pixel"),
+            ([(128, 128, 128, 128), (1, 1, 1, 3)], 3, "repeat marker overruns scanline"),
+            ([(128, 128, 128, 128), (1, 1, 1, 1), (1, 1, 1, 1)], 300, "flat scanline truncated"),
+        ],
+        ids=["marker_at_pixel_0", "overrun", "truncated"],
+    )
+    def test_malformed_rows_raise(self, pixels, width, message):
+        with pytest.raises(HdrFormatError, match=message):
+            hdr_io.read_radiance_hdr(radiance_bytes(width, 1, [pixels]))
+
+
+class TestExponentTable:
+    def test_every_exponent_and_mantissa(self):
+        e, m = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        rgbe = np.stack([m, m, m, e], axis=-1).astype(np.uint8)
+        got = hdr_io.rgbe_to_radiance(rgbe)
+        expected = np.array(
+            [[0.0 if ei == 0 else math.ldexp(mi, ei - 136) for mi in range(256)] for ei in range(256)]
+        )
+        assert np.array_equal(got, np.repeat(expected[..., None], 3, axis=-1))
+        assert not np.signbit(got).any()  # exponent 0 gives +0.0
 
 
 class TestRadianceRoundTrip:
@@ -388,13 +501,16 @@ class TestImageTypes:
 
 
 def _valid_files():
-    """One valid file per decoder path: RLE, flat and narrow .hdr; PF both ways; Pf."""
+    """One valid file per decoder path: RLE, flat and narrow .hdr; PF both ways; Pf;
+    and RLE with full-length codes (runs of 127, literals of 128)."""
     rng = np.random.default_rng(31)
     pixels = np.exp(rng.normal(0, 3, (3, 12, 3)))
     pixels[1, 2:10] = 0.75  # a run the RLE encoder compresses
     img = hdr_io.HdrImage(pixels)
     narrow = hdr_io.HdrImage(pixels[:, :5])
     gray = np.exp(rng.normal(0, 3, 8)).astype("<f4").tobytes()
+    long_codes = np.full((2, 300, 3), 0.75)
+    long_codes[:, :130] = np.linspace(1.0, 1.99, 130)[:, None] * [1.0, 0.6, 0.3]  # every byte changes
     return [
         hdr_io.write_radiance_hdr(img),
         hdr_io.write_radiance_hdr(img, run_length=False),
@@ -402,6 +518,7 @@ def _valid_files():
         hdr_io.write_pfm(img, little_endian=True),
         hdr_io.write_pfm(img, little_endian=False),
         b"Pf\n4 2\n-1.0\n" + gray,
+        hdr_io.write_radiance_hdr(hdr_io.HdrImage(long_codes)),
     ]
 
 
@@ -426,6 +543,20 @@ def apply_edits(data, edits):
 
 
 class TestDecoderMutations:
+    def test_long_code_file_holds_full_runs_and_literals(self):
+        data = VALID_FILES[-1]
+        width = 300
+        payload = data[data.index(b"+X 300\n") + 7 :]
+        first_red = payload[4 : payload.index(bytes((2, 2, width >> 8, width & 0xFF)), 4)]
+        codes, pos, x = [], 0, 0
+        while x < width:
+            code = first_red[pos]
+            codes.append(code)
+            length = code - 128 if code > 128 else code
+            pos += 2 if code > 128 else 1 + code
+            x += length
+        assert 128 in codes and 255 in codes
+
     def test_valid_files_decode(self):
         assert VALID_FILES[0] != VALID_FILES[1]  # RLE actually kicked in
         for data in VALID_FILES:

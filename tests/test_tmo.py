@@ -336,6 +336,27 @@ class TestRestoreColor:
         restored = tmo.restore_color(img, np.zeros((1, 1)), np.full((1, 1), 0.5), 0.6)
         assert restored[0, 0] == pytest.approx([0.0, 0.0, 0.0])
 
+    def test_dark_pixels_zeroed_among_lit_ones(self):
+        rng = np.random.default_rng(12)
+        pixels = rng.random((5, 4, 3)) + 0.1
+        lum = pixels.mean(axis=2)
+        lum[1, 2], lum[3, 0], lum[4, 3] = 0.0, -1.0, np.nan
+        out_lum = rng.random((5, 4))
+        restored = tmo.restore_color(HdrImage(pixels), lum, out_lum, 0.6)
+        lit = lum > 0
+        expected = (pixels[lit] / lum[lit][:, None]) ** 0.6 * out_lum[lit][:, None]
+        assert np.array_equal(restored[lit], expected)
+        assert (restored[~lit] == 0.0).all()
+
+    def test_dark_pixels_get_zero_times_luminance_out(self):
+        img = HdrImage(np.ones((1, 3, 3)))
+        out_lum = np.array([[-2.0, np.inf, 0.5]])
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            restored = tmo.restore_color(img, np.zeros((1, 3)), out_lum, 0.6)
+        assert np.signbit(restored[0, 0]).all() and (restored[0, 0] == 0.0).all()
+        assert np.isnan(restored[0, 1]).all()
+        assert not np.signbit(restored[0, 2]).any() and (restored[0, 2] == 0.0).all()
+
     def test_shape_mismatch_raises(self):
         img = HdrImage(np.ones((2, 2, 3)))
         with pytest.raises(ContractViolationError):

@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedOrientationError,
 )
 from .parallel import SERIAL, WorkerPool
+from .params import require_positive_finite
 
 _RLE_MIN_WIDTH = 8
 _RLE_MAX_WIDTH = 0x7FFF
@@ -394,23 +395,19 @@ def read_pfm(data: bytes) -> HdrImage:
     if width < 1 or height < 1:
         raise HdrFormatError("PFM dimensions must be positive")
     count = width * height * channels
-    payload = data[m.end() :]
-    if len(payload) < count * 4:
-        raise TruncationError(
-            f"PFM payload holds {len(payload)} bytes, needs {count * 4}"
-        )
-    dtype = "<f4" if scale < 0 else ">f4"
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite results are rejected below
-        values = np.frombuffer(payload, dtype, count).astype(np.float64)
-        values *= abs(scale)
-    raster = values.reshape(height, width, channels)[::-1]  # stored bottom-up
+    if len(data) - m.end() < count * 4:
+        raise TruncationError(f"PFM payload holds {len(data) - m.end()} bytes, needs {count * 4}")
+    stored = np.frombuffer(data, "<f4" if scale < 0 else ">f4", count, m.end())
+    with np.errstate(invalid="ignore", over="ignore"):  # HdrImage rejects non-finite results
+        raster = stored.reshape(height, width, channels)[::-1].astype(np.float64)  # stored bottom-up
+        raster *= abs(scale)
     if channels == 1:
         raster = np.repeat(raster, 3, axis=2)
-    if not np.isfinite(raster).all():
-        raise HdrFormatError("PFM payload contains non-finite radiance")
-    if (raster < 0).any():
-        raise HdrFormatError("PFM payload contains negative radiance")
-    return HdrImage(raster)
+    raster.flags.writeable = False  # fresh array, skip the defensive copy
+    try:
+        return HdrImage(raster)
+    except ParameterError as exc:
+        raise HdrFormatError(f"PFM payload: {exc}") from exc
 
 
 def write_pfm(image: HdrImage, little_endian: bool = True) -> bytes:
@@ -425,35 +422,23 @@ def write_pfm(image: HdrImage, little_endian: bool = True) -> bytes:
 # 8-bit display output
 # ---------------------------------------------------------------------------
 
-_ENCODE_BLOCK = 1 << 15  # float64 values per encode block: 256 KiB
-
-
 def _encode_rows(rgb: np.ndarray, gamma: float, out: np.ndarray) -> None:
-    """Encode a strip of [0, 1] floats into a uint8 strip, in cache-sized blocks."""
-    inverse_gamma = 1.0 / gamma
-    source = rgb.reshape(-1)
-    target = out.reshape(-1)
-    scratch = np.empty(min(_ENCODE_BLOCK, source.size))
-    for start in range(0, source.size, _ENCODE_BLOCK):
-        block = source[start : start + _ENCODE_BLOCK]
-        # comparisons with NaN are false, so non-finite values fail here too
-        if not (block.min() >= 0.0 and block.max() <= 1.0):
-            raise RangeError("display values must lie in [0, 1]; clamp before encoding")
-        work = scratch[: block.size]
-        np.power(block, inverse_gamma, out=work)
-        np.multiply(work, 255.0, out=work)
-        np.rint(work, out=work)
-        target[start : start + block.size] = work
+    """Encode a strip of [0, 1] floats into a uint8 strip."""
+    # comparisons with NaN are false, so non-finite values fail here too
+    if not (rgb.min() >= 0.0 and rgb.max() <= 1.0):
+        raise RangeError("display values must lie in [0, 1]; clamp before encoding")
+    work = np.power(rgb, 1.0 / gamma)
+    np.multiply(work, 255.0, out=work)
+    np.rint(work, out=work)
+    out[...] = work
 
 
 def quantize_ldr(rgb: np.ndarray, gamma: float, pool: WorkerPool | None = None) -> LdrImage:
     """Quantize a [0, 1] float raster to 8 bits: round(255 * v**(1/gamma)).
 
-    Encodes row strips on the pool in cache-sized blocks; the caller's raster
-    is never written.
+    Encodes row strips on the pool; the caller's raster is never written.
     """
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma!r}")
+    require_positive_finite("gamma", gamma)
     rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ParameterError(f"expected a (H, W, 3) raster, got shape {rgb.shape}")

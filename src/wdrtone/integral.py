@@ -5,9 +5,9 @@ needs no boundary branches: ``table[y][x]`` holds the sum of all source values
 strictly above and left of (x, y), and the sum over a half-open region
 [x0, x1) x [y0, y1) is ``T[y1,x1] - T[y0,x1] - T[y1,x0] + T[y0,x0]``.
 
-The integral histogram additionally keeps, for each bin boundary k, the table
-of "pixels in bins below k". That stack answers the strict below-the-center-bin
-count for any window with four lookups, independent of the bin count.
+The integral histogram keeps, for each bin k, the table of "pixels in bins
+below k". That stack answers the strict below-the-center-bin count for any
+window with four lookups, independent of the bin count.
 """
 
 from __future__ import annotations
@@ -87,17 +87,17 @@ def _sum_down_columns(plane: np.ndarray) -> None:
         np.add(plane[y - 1], plane[y], out=plane[y])
 
 
-def build_integral_image(values: np.ndarray, dtype=np.float64) -> IntegralImage:
+def build_integral_image(values: np.ndarray) -> IntegralImage:
     """Two-pass prefix sum with a zero top row and left column.
 
-    Accumulates in ``dtype`` (float64 by default) regardless of the raster's
-    own precision; single-precision accumulation degrades badly at megapixel
-    scale. Sums run down the columns first, then along the rows; float
-    tables depend on that order.
+    Accumulates in float64 regardless of the raster's own precision;
+    single-precision accumulation degrades badly at megapixel scale. Sums run
+    down the columns first, then along the rows; the tables depend on that
+    order.
     """
     values = _as_raster(values)
     height, width = values.shape
-    table = np.zeros((height + 1, width + 1), dtype)
+    table = np.zeros((height + 1, width + 1))
     body = table[1:, 1:]
     body[...] = values
     _sum_down_columns(body)
@@ -106,7 +106,7 @@ def build_integral_image(values: np.ndarray, dtype=np.float64) -> IntegralImage:
 
 
 def region_sum(image: IntegralImage, region: Region):
-    """Four-corner rectangle sum; float for float tables, exact int for int tables."""
+    """Four-corner rectangle sum."""
     _check_bounds(region, image.width, image.height)
     t = image.table
     raw = (
@@ -140,39 +140,24 @@ def bin_index_map(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegralHistogram:
-    """Per-bin summed-area tables over a scalar raster.
+    """Cumulative per-bin summed-area tables over a scalar raster.
 
     ``cum_below[k]`` is the integral image of the indicator "pixel's bin < k"
-    for k in [0, bins); the would-be top slice is just the pixel-count table
-    (every pixel is in some bin) and is never stored. Per-bin channel tables
-    are differences of adjacent slices.
+    for k in [0, bins), so plane 0 is all zero; the would-be top plane is just
+    the pixel-count table (every pixel is in some bin) and is never stored.
     """
 
     width: int
     height: int
-    bins: int
     edges: np.ndarray  # (bins + 1,) boundaries
     bin_map: np.ndarray  # (height, width) int32 bin index per pixel
     cum_below: np.ndarray  # (bins, height + 1, width + 1) integer tables
-
-    def _area_table(self) -> np.ndarray:
-        dtype = self.cum_below.dtype
-        return np.outer(
-            np.arange(self.height + 1, dtype=dtype), np.arange(self.width + 1, dtype=dtype)
-        )
-
-    def channel(self, k: int) -> IntegralImage:
-        """Integral image of bin k's indicator map."""
-        if not 0 <= k < self.bins:
-            raise ParameterError(f"bin index {k} outside [0, {self.bins})")
-        upper = self._area_table() if k + 1 == self.bins else self.cum_below[k + 1]
-        return IntegralImage(self.width, self.height, upper - self.cum_below[k])
 
 
 def build_integral_histogram(
     values: np.ndarray, edges: np.ndarray, pool: WorkerPool | None = None
 ) -> IntegralHistogram:
-    """Bin a raster and build one summed-area table per cumulative bin boundary.
+    """Bin a raster and build the cumulative "bins below k" table for each bin k.
 
     Counts accumulate in integers (int32, widened when a raster could
     overflow it) so region histograms are exact, not approximate.
@@ -191,9 +176,7 @@ def build_integral_histogram(
         _sum_down_columns(plane)
 
     (pool or SERIAL).run_tasks(partial(build_boundary, k) for k in range(1, bins))
-    return IntegralHistogram(
-        width, height, bins, np.asarray(edges, np.float64).copy(), bmap, cum
-    )
+    return IntegralHistogram(width, height, np.asarray(edges, np.float64).copy(), bmap, cum)
 
 
 def region_histogram(hist: IntegralHistogram, region: Region) -> np.ndarray:
@@ -206,11 +189,8 @@ def region_histogram(hist: IntegralHistogram, region: Region) -> np.ndarray:
         - c[:, region.y1, region.x0]
         + c[:, region.y0, region.x0]
     ).astype(np.int64)
-    counts = np.empty(hist.bins, np.int64)
-    counts[:-1] = np.diff(cumulative)
     # every pixel falls in some bin, so the top bin holds the remainder
-    counts[-1] = region.pixel_count - cumulative[-1]
-    return counts
+    return np.diff(cumulative, append=region.pixel_count)
 
 
 def region_variance(sums: IntegralImage, squares: IntegralImage, region: Region) -> float:

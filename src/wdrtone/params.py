@@ -18,6 +18,12 @@ ABSOLUTE_LOG_FLOOR = 1e-12
 FUSION_WEIGHT_FLOOR = 1e-12
 
 
+def require_positive_finite(name: str, value: float) -> None:
+    """Raise ParameterError unless ``value`` is a positive finite real."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TmoParams:
     """Knobs governing the whole tone mapping pipeline.
@@ -48,8 +54,7 @@ class TmoParams:
             raise ParameterError(f"bins must be an integer >= 2, got {self.bins!r}")
         if not isinstance(self.scales, int) or self.scales < 1:
             raise ParameterError(f"scales must be an integer >= 1, got {self.scales!r}")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ParameterError(f"epsilon must be a positive finite real, got {self.epsilon!r}")
+        require_positive_finite("epsilon", self.epsilon)
         if not (0.0 < self.saturation <= 1.0):
             raise ParameterError(f"saturation must lie in (0, 1], got {self.saturation!r}")
         if not (math.isfinite(self.display_min) and math.isfinite(self.display_max)):
@@ -58,7 +63,6 @@ class TmoParams:
             raise ParameterError(
                 f"display_min must be < display_max, got [{self.display_min}, {self.display_max}]"
             )
-        if self.log_floor is not None and not (self.log_floor > 0.0 and math.isfinite(self.log_floor)):
-            raise ParameterError(f"log_floor must be positive, got {self.log_floor!r}")
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ParameterError(f"gamma must be positive, got {self.gamma!r}")
+        if self.log_floor is not None:
+            require_positive_finite("log_floor", self.log_floor)
+        require_positive_finite("gamma", self.gamma)

@@ -27,6 +27,7 @@ from .params import (
     FUSION_WEIGHT_FLOOR,
     RELATIVE_LOG_FLOOR,
     TmoParams,
+    require_positive_finite,
 )
 
 LUMA_RED = 0.2126
@@ -71,8 +72,7 @@ def resolve_log_floor(luminance: np.ndarray, log_floor: float | None = None) -> 
 
 def log_transform(luminance: np.ndarray, log_floor: float) -> LogLuminance:
     """ln(max(luminance, floor)) with cached extrema; keeps the floored raster."""
-    if not log_floor > 0:
-        raise ParameterError(f"log_floor must be positive, got {log_floor!r}")
+    require_positive_finite("log_floor", log_floor)
     floored = np.maximum(luminance, log_floor)
     values = np.log(floored)
     return LogLuminance(values, floored, float(values.min()), float(values.max()))
@@ -274,8 +274,7 @@ def weight_map_at_scale(
     """Window-variance weight var / (var + epsilon), one value per pixel in [0, 1)."""
     if (sums.width, sums.height) != (squares.width, squares.height):
         raise ContractViolationError("luminance and squared-luminance tables disagree in size")
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
+    require_positive_finite("epsilon", epsilon)
     result = np.empty((sums.height, sums.width))
     (pool or SERIAL).run_rows(
         lambda a, b: _weight_rows(a, b, sums, squares, extent, epsilon, result[a:b]), sums.height

@@ -343,6 +343,25 @@ class TestPfm:
             with pytest.raises(HdrFormatError):
                 hdr_io.read_pfm(data)
 
+    def test_decode_keeps_one_raster(self):
+        height, width = 200, 300
+        rng = np.random.default_rng(7)
+        for magic, channels in ((b"PF", 3), (b"Pf", 1)):
+            stored = np.abs(rng.normal(0, 10, (height, width, channels))).astype("<f4")
+            data = magic + f"\n{width} {height}\n-1.0\n".encode() + stored.tobytes()
+            expected = np.repeat(stored[::-1].astype(np.float64), 3 // channels, axis=2)
+            tracemalloc.start()
+            try:
+                pixels = hdr_io.read_pfm(data).pixels
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * pixels.nbytes, (magic, peak / pixels.nbytes)
+            assert pixels.flags.c_contiguous and not pixels.flags.writeable
+            assert np.array_equal(pixels, expected)
+            for alias in (bytearray(data), memoryview(data)):
+                assert np.array_equal(hdr_io.read_pfm(alias).pixels, expected)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(1, 8),
@@ -381,11 +400,16 @@ class TestLdrOutput:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(RangeError):
                 hdr_io.quantize_ldr(np.full((1, 1, 3), bad), gamma=1.0)
-            # the last value of a raster spanning several encode blocks and row strips
+            # the last value of a raster encoded on a pool
             rgb = np.full((40, 1000, 3), 0.5)
             rgb[-1, -1, -1] = bad
             with WorkerPool(3) as pool, pytest.raises(RangeError):
                 hdr_io.quantize_ldr(rgb, gamma=2.2, pool=pool)
+
+    def test_bad_gamma_raises(self):
+        for gamma in (0.0, -2.2, np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                hdr_io.quantize_ldr(np.zeros((1, 2, 3)), gamma)
 
     @settings(max_examples=50, deadline=None)
     @given(

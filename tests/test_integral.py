@@ -216,8 +216,9 @@ class TestIntegralHistogram:
         rng = np.random.default_rng(43)
         values = rng.normal(0, 1, (16, 16))
         hist, _ = self.build(values, 6)
-        total = sum(hist.channel(k).total for k in range(6))
-        assert total == 16 * 16
+        counts = integral.region_histogram(hist, Region(0, 0, 16, 16))
+        assert len(counts) == 6
+        assert counts.sum() == 16 * 16
 
     def test_region_counts_exact_on_random_regions(self):
         rng = np.random.default_rng(47)
@@ -238,14 +239,23 @@ class TestIntegralHistogram:
         counts = integral.region_histogram(hist, Region(1, 2, 4, 5))
         assert counts.tolist() == [0, 9]
 
-    def test_channel_accessor_is_indicator_table(self):
+    def test_cum_below_planes_are_indicator_tables(self):
         rng = np.random.default_rng(53)
         values = rng.normal(0, 1, (5, 8))
         hist, edges = self.build(values, 4)
         bmap = integral.bin_index_map(values, edges)
+        assert hist.cum_below.shape == (4, 6, 9)
+        assert not hist.cum_below[0].any()
         for k in range(4):
-            expected = integral.build_integral_image((bmap == k).astype(np.int64), dtype=np.int64)
-            assert np.array_equal(hist.channel(k).table, expected.table)
+            expected = integral.build_integral_image((bmap < k).astype(float))
+            assert np.array_equal(hist.cum_below[k], expected.table)
+
+    @pytest.mark.parametrize("x, y", [(0, 0), (4, 0), (0, 2), (4, 2)])
+    def test_two_bins_single_pixel_at_each_corner(self, x, y):
+        values = np.array([[0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0, 1.0]])
+        hist = integral.build_integral_histogram(values, np.array([0.0, 0.5, 1.0]))
+        counts = integral.region_histogram(hist, Region(x, y, x + 1, y + 1))
+        assert counts.tolist() == ([0, 1] if values[y, x] else [1, 0])
 
     def test_non_monotone_edges_raise(self):
         with pytest.raises(ParameterError):

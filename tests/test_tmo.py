@@ -63,8 +63,9 @@ class TestLogTransform:
         assert tmo.resolve_log_floor(np.zeros((2, 2))) == 1e-12
 
     def test_bad_floor_raises(self):
-        with pytest.raises(ParameterError):
-            tmo.log_transform(np.ones((2, 2)), 0.0)
+        for floor in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                tmo.log_transform(np.ones((2, 2)), floor)
 
 
 class TestBinEdges:
@@ -285,8 +286,9 @@ class TestWeightMap:
 
     def test_bad_epsilon_raises(self):
         sums, squares = self.build_pair(np.ones((4, 4)))
-        with pytest.raises(ParameterError):
-            tmo.weight_map_at_scale(sums, squares, FieldExtent(2, 2), 0.0)
+        for epsilon in (0.0, -0.1, np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                tmo.weight_map_at_scale(sums, squares, FieldExtent(2, 2), epsilon)
 
 
 class TestFusion:

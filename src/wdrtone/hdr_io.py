@@ -324,22 +324,15 @@ def _deconflict_flat_row(row: np.ndarray, width: int) -> np.ndarray:
     collapsing to black only when none exists (an error of at most two
     mantissa steps at the format's absolute floor).
     """
-    copied = False
-    legacy = np.flatnonzero((row[:, 0] == 1) & (row[:, 1] == 1) & (row[:, 2] == 1))
-    if legacy.size:
-        row = row.copy()
-        copied = True
-        for i in legacy:
-            if row[i, 3] <= 1:
-                row[i] = 0
-            else:
-                row[i, :3] = 2
-                row[i, 3] -= 1
+    row = row.copy()
+    for i in np.flatnonzero((row[:, 0] == 1) & (row[:, 1] == 1) & (row[:, 2] == 1)):
+        if row[i, 3] <= 1:
+            row[i] = 0
+        else:
+            row[i, :3] = 2
+            row[i, 3] -= 1
     if _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH:
         while row[0, 0] == 2 and row[0, 1] == 2 and row[0, 2] < 128:
-            if not copied:
-                row = row.copy()
-                copied = True
             if row[0, 3] <= 1:
                 row[0] = 0
                 break

@@ -60,15 +60,6 @@ class IntegralImage:
     height: int
     table: np.ndarray  # (height+1, width+1), row 0 and column 0 all zero
 
-    def __post_init__(self) -> None:
-        if self.table.shape != (self.height + 1, self.width + 1):
-            raise ContractViolationError("integral table shape mismatch")
-
-    @property
-    def total(self):
-        """Sum of the entire source raster."""
-        return self.table[self.height, self.width]
-
 
 def _as_raster(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
@@ -149,7 +140,6 @@ class IntegralHistogram:
 
     width: int
     height: int
-    edges: np.ndarray  # (bins + 1,) boundaries
     bin_map: np.ndarray  # (height, width) int32 bin index per pixel
     cum_below: np.ndarray  # (bins, height + 1, width + 1) integer tables
 
@@ -176,7 +166,7 @@ def build_integral_histogram(
         _sum_down_columns(plane)
 
     (pool or SERIAL).run_tasks(partial(build_boundary, k) for k in range(1, bins))
-    return IntegralHistogram(width, height, np.asarray(edges, np.float64).copy(), bmap, cum)
+    return IntegralHistogram(width, height, bmap, cum)
 
 
 def region_histogram(hist: IntegralHistogram, region: Region) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ParameterError
 
@@ -22,6 +23,22 @@ def require_positive_finite(name: str, value: float) -> None:
     """Raise ParameterError unless ``value`` is a positive finite real."""
     if not (value > 0.0 and math.isfinite(value)):
         raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
+
+
+def _require_int_at_least(minimum: int, name: str, value: int) -> None:
+    """Raise ParameterError unless ``value`` is an integer >= ``minimum``."""
+    if not isinstance(value, int) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+require_bins = partial(_require_int_at_least, 2, "bins")
+require_scales = partial(_require_int_at_least, 1, "scales")
+
+
+def require_saturation(saturation: float) -> None:
+    """Raise ParameterError unless the colour exponent lies in (0, 1]; NaN fails."""
+    if not (0.0 < saturation <= 1.0):
+        raise ParameterError(f"saturation must lie in (0, 1], got {saturation!r}")
 
 
 @dataclass(frozen=True)
@@ -50,13 +67,10 @@ class TmoParams:
     gamma: float = 2.2
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bins, int) or self.bins < 2:
-            raise ParameterError(f"bins must be an integer >= 2, got {self.bins!r}")
-        if not isinstance(self.scales, int) or self.scales < 1:
-            raise ParameterError(f"scales must be an integer >= 1, got {self.scales!r}")
+        require_bins(self.bins)
+        require_scales(self.scales)
         require_positive_finite("epsilon", self.epsilon)
-        if not (0.0 < self.saturation <= 1.0):
-            raise ParameterError(f"saturation must lie in (0, 1], got {self.saturation!r}")
+        require_saturation(self.saturation)
         if not (math.isfinite(self.display_min) and math.isfinite(self.display_max)):
             raise ParameterError("display range must be finite")
         if not self.display_min < self.display_max:

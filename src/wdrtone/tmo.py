@@ -27,7 +27,10 @@ from .params import (
     FUSION_WEIGHT_FLOOR,
     RELATIVE_LOG_FLOOR,
     TmoParams,
+    require_bins,
     require_positive_finite,
+    require_saturation,
+    require_scales,
 )
 
 LUMA_RED = 0.2126
@@ -86,8 +89,7 @@ def compute_bin_edges(log_lum: LogLuminance, bins: int) -> tuple[np.ndarray, boo
     whose edges round onto each other. The degenerate flag routes the pipeline
     to a constant output instead.
     """
-    if bins < 2:
-        raise ParameterError(f"bins must be >= 2, got {bins}")
+    require_bins(bins)
     lo, hi = log_lum.log_min, log_lum.log_max
     edges = lo + (hi - lo) * np.arange(bins + 1) / bins
     degenerate = not (np.diff(edges) > 0).all()
@@ -99,24 +101,18 @@ def make_scale_schedule(width: int, height: int, scales: int) -> tuple[FieldExte
 
     The first extent equals the full image dimensions, so every clamped window
     at that scale covers the whole image and the mapping degenerates to a
-    single global tone curve. A schedule whose smallest field would fall below
-    2x2 raises ParameterError naming the largest admissible scale count.
+    single global tone curve. Any field below 2x2, the first included, raises
+    ParameterError naming the largest admissible scale count.
     """
-    if width < 2 or height < 2:
-        raise ParameterError(f"image must be at least 2x2, got {width}x{height}")
-    if scales < 1:
-        raise ParameterError(f"scales must be >= 1, got {scales}")
+    require_scales(scales)
     extents = []
-    half_w, half_h = width, height
-    for _ in range(scales):
-        if half_w < 2 or half_h < 2:
+    for k in range(scales):
+        if min(width, height) >> k < 2:
             raise ParameterError(
                 f"{scales} scales collapse below a 2x2 field on a {width}x{height} "
-                f"image; at most {len(extents)} are admissible"
+                f"image; at most {k} are admissible"
             )
-        extents.append(FieldExtent(half_w, half_h))
-        half_w //= 2
-        half_h //= 2
+        extents.append(FieldExtent(width >> k, height >> k))
     return tuple(extents)
 
 
@@ -364,8 +360,7 @@ def restore_color(
     pool: WorkerPool | None = None,
 ) -> np.ndarray:
     """Rebuild RGB around the tone mapped luminance: (C/L_in)**sat * L_out."""
-    if not 0 < saturation <= 1:
-        raise ParameterError(f"saturation must lie in (0, 1], got {saturation!r}")
+    require_saturation(saturation)
     px = image.pixels
     if luminance_in.shape != px.shape[:2] or luminance_out.shape != px.shape[:2]:
         raise ContractViolationError("luminance rasters must match the image size")

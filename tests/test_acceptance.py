@@ -16,6 +16,7 @@ import pytest
 from wdrtone import cli, integral, oracle, tmo
 from wdrtone.hdr_io import (
     HdrImage,
+    radiance_to_rgbe,
     read_pfm,
     read_radiance_hdr,
     rgbe_to_radiance,
@@ -187,10 +188,11 @@ def test_scale_schedule_halving_pyramid():
 def bench_results():
     """Shared measurements for the scaling-trend and stage-breakdown criteria.
 
-    Configurations are interleaved round-robin and the per-configuration
-    minimum is kept: this host is a shared machine whose clock swings by
-    almost 2x between runs, and only contemporaneous minima compare the code
-    rather than the neighbors.
+    Configurations are interleaved round-robin and every sample is kept, in
+    round order: on a shared machine the clock swings by almost 2x between
+    runs, so the scaling gates compare the median of per-round ratios, whose
+    samples ran side by side. The stage breakdown keeps the timings of five
+    single-thread calls, and its gate takes the median looped share.
     """
     configs = {
         "hd_default": (1080, 1920, TmoParams()),
@@ -202,15 +204,15 @@ def bench_results():
     samples: dict[str, list[float]] = {key: [] for key in configs}
     for key, (_, _, params) in configs.items():  # warm-up pass
         tone_map_image(images[key], params)
-    for _ in range(8):
+    for _ in range(16):
         for key, (_, _, params) in configs.items():
             start = time.perf_counter()
             tone_map_image(images[key], params)
             samples[key].append(time.perf_counter() - start)
     results: dict[str, object] = dict(samples)
-    _, results["hd_stage_timings"] = tone_map_image(
-        images["hd_default"], TmoParams(), threads=1
-    )
+    results["hd_stage_timings"] = [
+        tone_map_image(images["hd_default"], TmoParams(), threads=1)[1] for _ in range(5)
+    ]
     return results
 
 
@@ -243,11 +245,13 @@ def test_scaling_trend(bench_results):
 
 def test_stage_breakdown(bench_results):
     with criterion("stage breakdown: looped stages dominate at 1080p"):
-        timings = bench_results["hd_stage_timings"]
-        looped = timings.tone_map_ms + timings.weights_ms + timings.fusion_ms
-        share = looped / timings.total_ms
-        assert share > 0.5, f"looped stages only {share:.0%} of total"
-        print(f"  [info] tone+weights+fusion = {share:.0%} of {timings.total_ms:.0f} ms")
+        runs = bench_results["hd_stage_timings"]
+        share = statistics.median(
+            (t.tone_map_ms + t.weights_ms + t.fusion_ms) / t.total_ms for t in runs
+        )
+        assert share > 0.5, f"looped stages only {share:.0%} of total (median of {len(runs)})"
+        total = statistics.median(t.total_ms for t in runs)
+        print(f"  [info] tone+weights+fusion = {share:.0%} of {total:.0f} ms (medians of {len(runs)})")
 
 
 def test_io_round_trips():
@@ -259,8 +263,9 @@ def test_io_round_trips():
             raw = rng.integers(0, 256, (height, width, 4), dtype=np.uint8)
             first = rgbe_to_radiance(raw)
             image = HdrImage(first)
-            rle_bytes = write_radiance_hdr(image, run_length=True)
-            flat_bytes = write_radiance_hdr(image, run_length=False)
+            rle_bytes = write_radiance_hdr(image)
+            header = f"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y {height} +X {width}\n"
+            flat_bytes = header.encode() + radiance_to_rgbe(first).tobytes()
             from_rle = read_radiance_hdr(rle_bytes).pixels
             from_flat = read_radiance_hdr(flat_bytes).pixels
             assert np.array_equal(first, from_rle)
@@ -272,21 +277,20 @@ def test_io_round_trips():
         runs[1, 4:29] = [0.5, 2.0, 8.0]
         runs[2, ::2] = 0.25
         run_image = HdrImage(runs)
-        rle_bytes = write_radiance_hdr(run_image, run_length=True)
-        decoded = read_radiance_hdr(rle_bytes).pixels
-        reference = rgbe_to_radiance(
-            np.frombuffer(
-                write_radiance_hdr(run_image, run_length=False), np.uint8
-            )[-3 * 32 * 4 :].reshape(3, 32, 4)
-        )
-        assert np.array_equal(decoded, reference)
+        decoded = read_radiance_hdr(write_radiance_hdr(run_image)).pixels
+        assert np.array_equal(decoded, rgbe_to_radiance(radiance_to_rgbe(runs)))
 
-        # PFM: bit-exact round-trips in both endiannesses
+        # PFM: bit-exact round-trips in both endiannesses; the writer emits
+        # little-endian, the big-endian file is built by hand
         for little in (True, False):
             for width, height in ((1, 1), (7, 5), (32, 9)):
                 values = np.abs(rng.normal(0, 50, (height, width, 3))).astype(np.float32)
                 image = HdrImage(values.astype(np.float64))
-                back = read_pfm(write_pfm(image, little_endian=little))
+                if little:
+                    data = write_pfm(image)
+                else:
+                    data = f"PF\n{width} {height}\n1.0\n".encode() + values[::-1].astype(">f4").tobytes()
+                back = read_pfm(data)
                 assert np.array_equal(back.pixels, image.pixels)
 
         # PFM grayscale replication and row order stay pinned

@@ -17,7 +17,6 @@ from wdrtone.errors import (
     TruncationError,
     UnsupportedOrientationError,
 )
-from wdrtone.parallel import WorkerPool
 
 
 # Headers that claim far more pixels than their bytes hold: 200000 scanlines
@@ -123,7 +122,7 @@ class TestRadianceDecode:
 
     def test_truncated_rle_raises(self):
         img = hdr_from_values(np.linspace(0.1, 9.0, 16 * 2 * 3).reshape(2, 16, 3))
-        data = hdr_io.write_radiance_hdr(img, run_length=True)
+        data = hdr_io.write_radiance_hdr(img)
         with pytest.raises(TruncationError):
             hdr_io.read_radiance_hdr(data[:-2])
 
@@ -239,9 +238,9 @@ class TestRadianceRoundTrip:
     def test_rle_and_flat_decode_identically_2x2(self):
         img = hdr_from_values([[[0.5, 1.0, 2.0], [0.0, 0.25, 8.0]],
                                [[3.5, 0.125, 1.5], [4.0, 4.0, 4.0]]])
-        rle = hdr_io.write_radiance_hdr(img, run_length=True)
-        flat = hdr_io.write_radiance_hdr(img, run_length=False)
-        a = hdr_io.read_radiance_hdr(rle)
+        written = hdr_io.write_radiance_hdr(img)  # flat: width 2 is below RLE's minimum
+        flat = radiance_bytes(2, 2, hdr_io.radiance_to_rgbe(img.pixels))
+        a = hdr_io.read_radiance_hdr(written)
         b = hdr_io.read_radiance_hdr(flat)
         assert np.array_equal(a.pixels, b.pixels)
 
@@ -252,8 +251,8 @@ class TestRadianceRoundTrip:
         values[1, 2:9] = 0.75  # force a run
         values[2] = 0.0
         img = hdr_from_values(values)
-        rle = hdr_io.write_radiance_hdr(img, run_length=True)
-        flat = hdr_io.write_radiance_hdr(img, run_length=False)
+        rle = hdr_io.write_radiance_hdr(img)
+        flat = radiance_bytes(16, 4, hdr_io.radiance_to_rgbe(values))
         assert rle != flat  # RLE actually kicked in
         a = hdr_io.read_radiance_hdr(rle)
         b = hdr_io.read_radiance_hdr(flat)
@@ -264,8 +263,58 @@ class TestRadianceRoundTrip:
         with pytest.raises(RangeError):
             hdr_io.write_radiance_hdr(img)
 
+    @pytest.mark.parametrize("width, rle", [(7, False), (8, True), (32767, True), (32768, False)])
+    def test_rle_exactly_at_widths_8_to_32767(self, width, rle):
+        values = np.exp(np.random.default_rng(width).normal(0, 2, (1, width, 3)))
+        data = hdr_io.write_radiance_hdr(hdr_from_values(values))
+        header = RADIANCE_HEADER.format(1, width).encode()
+        assert data.startswith(header)
+        row = data[len(header) :]
+        assert (row[:4] == bytes((2, 2, width >> 8, width & 0xFF))) == rle
+        if not rle:
+            assert row == hdr_io.radiance_to_rgbe(values).tobytes()
+        expected = hdr_io.rgbe_to_radiance(hdr_io.radiance_to_rgbe(values))
+        assert np.array_equal(hdr_io.read_radiance_hdr(data).pixels, expected)
+
+
+class TestFlatRowCollisions:
+    """A raw row's (1, 1, 1, x) pixel reads as a repeat marker and a leading
+    (2, 2, b < 128, x) pixel as an RLE row header. The encoder emits either
+    only at exponent 1, so the writer blacks out markers and no more."""
+
+    def test_encoder_collides_only_at_exponent_1(self):
+        grid = np.array([0, 1, 2, 3, 4, 7, 8, 63, 64, 127, 128, 129, 200, 255], np.uint8)
+        r, g, b, e = np.meshgrid(grid, grid, grid, np.arange(256, dtype=np.uint8), indexing="ij")
+        raw = np.stack([r, g, b, e], axis=-1).reshape(-1, 4)
+        rng = np.random.default_rng(5)
+        magnitudes = np.ldexp(rng.random((200000, 3)), rng.integers(-150, 127, (200000, 1)))
+        for source in (hdr_io.rgbe_to_radiance(raw), magnitudes):
+            rgbe = hdr_io.radiance_to_rgbe(source)
+            marker = (rgbe[:, 0] == 1) & (rgbe[:, 1] == 1) & (rgbe[:, 2] == 1)
+            row_header = (rgbe[:, 0] == 2) & (rgbe[:, 1] == 2) & (rgbe[:, 2] < 128)
+            assert (marker | row_header).any()  # the colliding patterns are reached...
+            assert (rgbe[marker | row_header, 3] == 1).all()  # ...only at exponent 1
+
+    def test_deep_shadow_marker_pixel_is_written_black(self):
+        pixels = np.full((1, 3, 3), 0.5)
+        pixels[0, 1] = 2.0**-135  # encodes as (1, 1, 1, 1)
+        assert hdr_io.radiance_to_rgbe(pixels[0, 1]).tolist() == [1, 1, 1, 1]
+        data = hdr_io.write_radiance_hdr(hdr_from_values(pixels))
+        assert data.endswith(bytes((128, 128, 128, 128, 0, 0, 0, 0, 128, 128, 128, 128)))
+        expected = pixels.copy()
+        expected[0, 1] = 0.0
+        assert np.array_equal(hdr_io.read_radiance_hdr(data).pixels, expected)
+
 
 class TestPfm:
+    def test_writer_emits_little_endian(self):
+        values = np.array([[[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]], [[6.0, 7.0, 8.0], [9.0, 10.0, 11.0]]])
+        values[0, 0, 0] = 1 / 3  # a value whose float32 bytes are not a palindrome
+        data = hdr_io.write_pfm(hdr_from_values(values))
+        header = b"PF\n2 2\n-1.0\n"
+        assert data.startswith(header)
+        assert data[len(header) :] == values[::-1].astype("<f4").tobytes()
+
     def test_color_little_endian_1x1(self):
         data = b"PF\n1 1\n-1.0\n" + struct.pack("<3f", 0.5, 0.25, 0.125)
         img = hdr_io.read_pfm(data)
@@ -368,19 +417,19 @@ class TestLdrOutput:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(RangeError):
                 hdr_io.quantize_ldr(np.full((1, 1, 3), bad), gamma=1.0)
-            # the last value of a raster encoded on a pool
+            # the last value of a larger raster
             rgb = np.full((40, 1000, 3), 0.5)
             rgb[-1, -1, -1] = bad
-            with WorkerPool(3) as pool, pytest.raises(RangeError):
-                hdr_io.quantize_ldr(rgb, gamma=2.2, pool=pool)
+            with pytest.raises(RangeError):
+                hdr_io.quantize_ldr(rgb, gamma=2.2)
 
     def test_out_of_range_in_a_later_strip_raises(self):
-        # 200 rows span four row strips, so the bad value is met on a worker
+        # 200 rows span four row strips, so the bad value is met in the last one
         for bad in (np.nan, np.inf, -np.inf):
             rgb = np.full((200, 1000, 3), 0.5)
             rgb[-2, 500, 1] = bad
-            with WorkerPool(3) as pool, pytest.raises(RangeError):
-                hdr_io.quantize_ldr(rgb, gamma=2.2, pool=pool)
+            with pytest.raises(RangeError):
+                hdr_io.quantize_ldr(rgb, gamma=2.2)
 
     def test_bad_gamma_raises(self):
         for gamma in (0.0, -2.2, np.inf, np.nan):
@@ -501,10 +550,10 @@ def _valid_files():
     long_codes[:, :130] = np.linspace(1.0, 1.99, 130)[:, None] * [1.0, 0.6, 0.3]  # every byte changes
     return [
         hdr_io.write_radiance_hdr(img),
-        hdr_io.write_radiance_hdr(img, run_length=False),
+        radiance_bytes(12, 3, hdr_io.radiance_to_rgbe(pixels)),
         hdr_io.write_radiance_hdr(narrow),
-        hdr_io.write_pfm(img, little_endian=True),
-        hdr_io.write_pfm(img, little_endian=False),
+        hdr_io.write_pfm(img),
+        b"PF\n12 3\n1.0\n" + pixels[::-1].astype(">f4").tobytes(),
         b"Pf\n4 2\n-1.0\n" + gray,
         hdr_io.write_radiance_hdr(hdr_io.HdrImage(long_codes)),
     ]

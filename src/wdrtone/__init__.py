@@ -8,16 +8,7 @@ The stage functions live in ``wdrtone.tmo``, ``wdrtone.integral`` and
 ``wdrtone.hdr_io``; the package root exports the documented API only.
 """
 
-from .errors import (
-    ContractViolationError,
-    DimensionError,
-    HdrFormatError,
-    ParameterError,
-    RangeError,
-    ToneMapError,
-    TruncationError,
-    UnsupportedOrientationError,
-)
+from .errors import HdrFormatError, ParameterError, ToneMapError
 from .hdr_io import HdrImage, LdrImage, load_hdr_file, save_ldr
 from .integral import (
     Region,
@@ -45,12 +36,7 @@ __all__ = [
     # errors
     "ToneMapError",
     "ParameterError",
-    "ContractViolationError",
-    "DimensionError",
-    "RangeError",
     "HdrFormatError",
-    "TruncationError",
-    "UnsupportedOrientationError",
     # O(1) region queries
     "Region",
     "build_integral_image",

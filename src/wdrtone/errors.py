@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library: one class per kind of fault,
+which the CLI maps to its exit code."""
 
 
 class ToneMapError(Exception):
@@ -6,28 +7,9 @@ class ToneMapError(Exception):
 
 
 class HdrFormatError(ToneMapError):
-    """Input bytes do not form a valid HDR file."""
-
-
-class TruncationError(HdrFormatError):
-    """File ends before the payload its header promises."""
-
-
-class UnsupportedOrientationError(HdrFormatError):
-    """Resolution line uses an orientation other than ``-Y H +X W``."""
+    """Input bytes are malformed, truncated or in an unsupported layout."""
 
 
 class ParameterError(ToneMapError, ValueError):
-    """A user-supplied parameter violates its documented contract."""
-
-
-class RangeError(ParameterError):
-    """A value lies outside the interval an operation requires."""
-
-
-class DimensionError(ParameterError):
-    """A raster is empty or has an unusable shape."""
-
-
-class ContractViolationError(ToneMapError):
-    """Caller broke an API precondition (bounds, matching dimensions, degenerate regions)."""
+    """An argument breaks its contract: its value, range or shape, or its fit
+    with the other arguments."""

@@ -25,13 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    HdrFormatError,
-    ParameterError,
-    RangeError,
-    TruncationError,
-    UnsupportedOrientationError,
-)
+from .errors import HdrFormatError, ParameterError
 from .parallel import SERIAL
 from .params import require_positive_finite
 
@@ -108,7 +102,7 @@ def _parse_radiance_header(data: bytes) -> tuple[int, int, int]:
     """Return (width, height, payload offset) or raise."""
     nl = data.find(b"\n")
     if nl < 0:
-        raise TruncationError("Radiance header has no newline")
+        raise HdrFormatError("Radiance header has no newline")
     magic = data[:nl].rstrip(b"\r")
     if not (magic.startswith(b"#?RADIANCE") or magic.startswith(b"#?RGBE")):
         raise HdrFormatError("missing #?RADIANCE / #?RGBE magic")
@@ -117,7 +111,7 @@ def _parse_radiance_header(data: bytes) -> tuple[int, int, int]:
     while True:
         nl = data.find(b"\n", pos)
         if nl < 0:
-            raise TruncationError("Radiance header never terminates")
+            raise HdrFormatError("Radiance header never terminates")
         line = data[pos:nl].rstrip(b"\r")
         pos = nl + 1
         if line == b"":
@@ -129,12 +123,12 @@ def _parse_radiance_header(data: bytes) -> tuple[int, int, int]:
         raise HdrFormatError(f"unsupported Radiance format {fmt!r}")
     nl = data.find(b"\n", pos)
     if nl < 0:
-        raise TruncationError("missing resolution line")
+        raise HdrFormatError("missing resolution line")
     m = _RESOLUTION_RE.match(data[pos:nl].rstrip(b"\r"))
     if m is None:
         raise HdrFormatError("cannot parse resolution line")
     if m.group(1) != b"-Y" or m.group(3) != b"+X":
-        raise UnsupportedOrientationError(
+        raise HdrFormatError(
             f"only '-Y H +X W' orientation is supported, got {data[pos:nl]!r}"
         )
     height = int(m.group(2))
@@ -160,7 +154,7 @@ def _read_flat_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> i
     shift = 0
     while j < width:
         if pos + 4 > len(data):
-            raise TruncationError("flat scanline truncated")
+            raise HdrFormatError("flat scanline truncated")
         r, g, b, e = data[pos], data[pos + 1], data[pos + 2], data[pos + 3]
         pos += 4
         if r == 1 and g == 1 and b == 1:
@@ -189,7 +183,7 @@ def _read_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> int:
     if width < _RLE_MIN_WIDTH or width > _RLE_MAX_WIDTH:
         return _read_flat_scanline(data, pos, width, row)
     if pos + 4 > len(data):
-        raise TruncationError("scanline header truncated")
+        raise HdrFormatError("scanline header truncated")
     if data[pos] != 2 or data[pos + 1] != 2 or data[pos + 2] & 0x80:
         return _read_flat_scanline(data, pos, width, row)
     if (data[pos + 2] << 8 | data[pos + 3]) != width:
@@ -202,13 +196,13 @@ def _read_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> int:
         x = 0
         while x < width:
             if pos >= size:
-                raise TruncationError("RLE scanline truncated")
+                raise HdrFormatError("RLE scanline truncated")
             code = data[pos]
             pos += 1
             if code > 128:
                 run = code - 128
                 if pos >= size:
-                    raise TruncationError("RLE run truncated")
+                    raise HdrFormatError("RLE run truncated")
                 if x + run > width:
                     raise HdrFormatError("RLE run overruns scanline")
                 append(data[pos : pos + 1] * run)
@@ -218,7 +212,7 @@ def _read_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> int:
                 if code == 0:
                     raise HdrFormatError("zero-length RLE literal")
                 if pos + code > size:
-                    raise TruncationError("RLE literal truncated")
+                    raise HdrFormatError("RLE literal truncated")
                 if x + code > width:
                     raise HdrFormatError("RLE literal overruns scanline")
                 append(data[pos : pos + code])
@@ -255,7 +249,7 @@ def radiance_to_rgbe(pixels: np.ndarray) -> np.ndarray:
     pixels = np.asarray(pixels, dtype=np.float64)
     dominant = pixels.max(axis=-1)
     if (dominant >= np.ldexp(1.0, 127)).any():
-        raise RangeError("radiance >= 2**127 cannot be stored as RGBE")
+        raise ParameterError("radiance >= 2**127 cannot be stored as RGBE")
     _, exponents = np.frexp(dominant)
     stored = np.maximum(exponents + 128, 1)
     # mantissa byte = floor(v * 2**(136 - stored)); with a canonical exponent
@@ -273,7 +267,7 @@ def read_radiance_hdr(data: bytes) -> HdrImage:
     data = bytes(data)  # one object for header and scanlines; RLE runs repeat its slices
     width, height, pos = _parse_radiance_header(data)
     if height > (len(data) - pos) // 4:  # every scanline takes at least 4 bytes
-        raise TruncationError(f"{len(data) - pos} payload bytes cannot hold {height} scanlines")
+        raise HdrFormatError(f"{len(data) - pos} payload bytes cannot hold {height} scanlines")
     if width * height > MAX_RADIANCE_PIXELS:
         raise HdrFormatError(f"{width}x{height} exceeds the {MAX_RADIANCE_PIXELS}-pixel decode limit")
     rgbe = np.zeros((height, width, 4), np.uint8)
@@ -366,7 +360,7 @@ def read_pfm(data: bytes) -> HdrImage:
         raise HdrFormatError("PFM dimensions must be positive")
     count = width * height * channels
     if len(data) - m.end() < count * 4:
-        raise TruncationError(f"PFM payload holds {len(data) - m.end()} bytes, needs {count * 4}")
+        raise HdrFormatError(f"PFM payload holds {len(data) - m.end()} bytes, needs {count * 4}")
     stored = np.frombuffer(data, "<f4" if scale < 0 else ">f4", count, m.end())
     with np.errstate(invalid="ignore", over="ignore"):  # HdrImage rejects non-finite results
         raster = stored.reshape(height, width, channels)[::-1].astype(np.float64)  # stored bottom-up
@@ -394,7 +388,7 @@ def _encode_rows(rgb: np.ndarray, gamma: float, out: np.ndarray) -> None:
     """Encode a strip of [0, 1] floats into a uint8 strip."""
     # comparisons with NaN are false, so non-finite values fail here too
     if not (rgb.min() >= 0.0 and rgb.max() <= 1.0):
-        raise RangeError("display values must lie in [0, 1]; clamp before encoding")
+        raise ParameterError("display values must lie in [0, 1]; clamp before encoding")
     work = np.power(rgb, 1.0 / gamma)
     np.multiply(work, 255.0, out=work)
     np.rint(work, out=work)

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ContractViolationError, DimensionError, ParameterError
+from .errors import ParameterError
 from .parallel import SERIAL, WorkerPool
 
 
@@ -32,7 +32,7 @@ class Region:
 
     def __post_init__(self) -> None:
         if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise ContractViolationError(f"degenerate region {self!r}")
+            raise ParameterError(f"degenerate region {self!r}")
 
     @property
     def pixel_count(self) -> int:
@@ -47,7 +47,7 @@ class Region:
 
 def _check_bounds(region: Region, width: int, height: int) -> None:
     if region.x0 < 0 or region.y0 < 0 or region.x1 > width or region.y1 > height:
-        raise ContractViolationError(
+        raise ParameterError(
             f"region {region!r} outside {width}x{height} image; clamp it first"
         )
 
@@ -64,7 +64,7 @@ class IntegralImage:
 def _as_raster(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.ndim != 2 or values.size == 0:
-        raise DimensionError(f"expected a non-empty 2-D raster, got shape {values.shape}")
+        raise ParameterError(f"expected a non-empty 2-D raster, got shape {values.shape}")
     return values
 
 
@@ -189,7 +189,7 @@ def region_variance(sums: IntegralImage, squares: IntegralImage, region: Region)
     Clamped at zero: near-constant regions can cancel to a tiny negative.
     """
     if (sums.width, sums.height) != (squares.width, squares.height):
-        raise ContractViolationError(
+        raise ParameterError(
             f"table dimensions differ: {sums.width}x{sums.height} vs "
             f"{squares.width}x{squares.height}"
         )

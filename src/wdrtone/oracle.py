@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError
+from .errors import ParameterError
 from .hdr_io import HdrImage, LdrImage, quantize_ldr
 from .params import (
     ABSOLUTE_LOG_FLOOR,
@@ -35,7 +35,7 @@ def _check_region(raster: np.ndarray, region) -> tuple[int, int, int, int]:
     x0, y0, x1, y1 = _bounds(region)
     height, width = raster.shape[:2]
     if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
-        raise ContractViolationError(
+        raise ParameterError(
             f"region ({x0},{y0},{x1},{y1}) invalid for a {width}x{height} raster"
         )
     return x0, y0, x1, y1

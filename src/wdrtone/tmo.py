@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError
+from .errors import ParameterError
 from .hdr_io import HdrImage
 from .integral import IntegralHistogram, IntegralImage
 from .parallel import SERIAL, WorkerPool
@@ -217,7 +217,7 @@ def tone_map_at_scale(
     """
     height, width = log_lum.values.shape
     if (hist.width, hist.height) != (width, height):
-        raise ContractViolationError(
+        raise ParameterError(
             f"histogram is {hist.width}x{hist.height}, raster is {width}x{height}"
         )
     result = np.empty((height, width))
@@ -269,7 +269,7 @@ def weight_map_at_scale(
 ) -> np.ndarray:
     """Window-variance weight var / (var + epsilon), one value per pixel in [0, 1)."""
     if (sums.width, sums.height) != (squares.width, squares.height):
-        raise ContractViolationError("luminance and squared-luminance tables disagree in size")
+        raise ParameterError("luminance and squared-luminance tables disagree in size")
     require_positive_finite("epsilon", epsilon)
     result = np.empty((sums.height, sums.width))
     (pool or SERIAL).run_rows(
@@ -317,13 +317,13 @@ def fuse_scales(
 ) -> np.ndarray:
     """Per-pixel weighted average of the per-field display values."""
     if len(values) == 0 or len(values) != len(weights):
-        raise ContractViolationError(
+        raise ParameterError(
             f"need matching non-empty stacks, got {len(values)} values / {len(weights)} weights"
         )
     shape = values[0].shape
     for arr in (*values, *weights):
         if arr.shape != shape:
-            raise ContractViolationError("fusion inputs must share one shape")
+            raise ParameterError("fusion inputs must share one shape")
     result = np.empty(shape)
 
     def kernel(row_start: int, row_stop: int) -> None:
@@ -363,7 +363,7 @@ def restore_color(
     require_saturation(saturation)
     px = image.pixels
     if luminance_in.shape != px.shape[:2] or luminance_out.shape != px.shape[:2]:
-        raise ContractViolationError("luminance rasters must match the image size")
+        raise ParameterError("luminance rasters must match the image size")
     # pixels with no positive L_in get 0**sat * L_out: divide them by 1, then
     # overwrite them (0 * L_out keeps the sign of L_out, and NaN for inf or NaN)
     dark = ~(luminance_in > 0)

@@ -1,9 +1,11 @@
-"""Public surface: the package root's exports, README's library example, and
-the module-level names the benchmark under ``perfbench/`` calls."""
+"""Public surface: the package root's exports, README's library example, the
+module-level names the benchmark under ``perfbench/`` calls, and the error model."""
 
+import ast
 import importlib
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +25,7 @@ ROOT_API = {
     # errors
     "ToneMapError",
     "ParameterError",
-    "ContractViolationError",
-    "DimensionError",
-    "RangeError",
     "HdrFormatError",
-    "TruncationError",
-    "UnsupportedOrientationError",
     # O(1) region queries
     "Region",
     "build_integral_image",
@@ -152,3 +149,44 @@ class TestBenchmarkContract:
             "total_ms",
         ]
         assert callable(StageTimings.as_dict)
+
+
+class TestErrorModel:
+    """One exception class per kind of fault; a new class or kind changes this test."""
+
+    SOURCES = sorted(Path(wdrtone.__file__).parent.glob("*.py"))
+
+    def test_only_errors_defines_exception_classes(self):
+        defined = {
+            f"{path.name}:{node.name}"
+            for path in self.SOURCES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)
+        }
+        assert defined == {"errors.py:ToneMapError", "errors.py:HdrFormatError", "errors.py:ParameterError"}
+        assert issubclass(wdrtone.ParameterError, ValueError)
+
+    def test_every_raise_names_a_kind_of_fault(self):
+        def raised(node):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            return "bare raise" if exc is None else ast.unparse(exc)
+
+        stray = []
+        for path in self.SOURCES:
+            tree = ast.parse(path.read_text())
+            # cli._save reports a failed write through the base class, the one direct ToneMapError
+            save_raises = {
+                id(node)
+                for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef) and (path.stem, func.name) == ("cli", "_save")
+                for node in ast.walk(func)
+            }
+            stray += [
+                f"{path.name}:{node.lineno} raises {raised(node)}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Raise)
+                and raised(node) not in ("HdrFormatError", "ParameterError")
+                and not (id(node) in save_raises and raised(node) == "ToneMapError")
+            ]
+        assert stray == []

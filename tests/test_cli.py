@@ -130,6 +130,28 @@ class TestSingleMode:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "at most 4 are admissible" in err
 
+    @pytest.mark.parametrize(
+        "data, argv, code, message",
+        [
+            (b"#?RADIANCE\n\n-Y 2 +X 2\n" + bytes(12), [], 2, "cannot read input"),
+            (b"#?RADIANCE\n\n+Y 1 +X 1\n" + bytes(4), [], 2, "cannot read input"),
+            (b"Pf\n1 1\n-1.0\n" + np.float32(np.nan).tobytes(), [], 2, "cannot read input"),
+            (None, ["--bins", "1"], 3, "invalid parameters"),
+            (None, ["--scales", "9"], 3, "invalid parameters"),
+            (None, ["--output", "missing/o.ppm"], 2, "cannot write output"),
+        ],
+        ids=["truncated_hdr", "orientation_hdr", "nan_pfm", "bins_1", "scales_9", "unwritable_output"],
+    )
+    def test_exit_code_per_kind_of_fault(
+        self, data, argv, code, message, scene, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        if data is not None:
+            scene = tmp_path / "bad_input"
+            scene.write_bytes(data)
+        assert run("--input", scene, "--output", "o.ppm", "--scales", "3", *argv) == code
+        assert capsys.readouterr().err.startswith(f"wdrtone: {message}: ")
+
     def test_png_output(self, scene, tmp_path):
         out = tmp_path / "out.png"
         assert run("--input", scene, "--output", out, "--scales", "2") == 0

@@ -96,12 +96,12 @@ class TestToneMapImage:
             assert peak_mib <= limit_mib, f"{run.__name__}: {peak_mib:.2f} MiB"
 
     def test_too_small_image_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="image must be at least 2x2, got 5x1"):
             tone_map_image(HdrImage(np.ones((1, 5, 3))), TmoParams())
 
     def test_scale_overflow_propagates(self):
         img = random_wdr(4, 8, 8)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="6 scales collapse"):
             tone_map_image(img, TmoParams(scales=6))
 
     def test_single_scale_monotone_on_luminance(self):

@@ -138,8 +138,8 @@ def _parse_radiance_header(data: bytes) -> tuple[int, int, int]:
     return width, height, nl + 1
 
 
-def _read_flat_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> int:
-    """Raw 4-byte pixels, honoring legacy (1,1,1,count) repeat markers."""
+def _read_flat_scanline(data: bytes, pos: int, width: int, parts: list[bytes]) -> int:
+    """Raw 4-byte pixels, honoring legacy (1,1,1,count) repeat markers, appended as RLE rows are."""
     end = pos + 4 * width
     if end <= len(data):
         block = np.frombuffer(data, np.uint8, 4 * width, pos).reshape(width, 4)
@@ -148,8 +148,9 @@ def _read_flat_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> i
         # repeat markers and the block can be taken wholesale.
         markers = (block[:, 0] == 1) & (block[:, 1] == 1) & (block[:, 2] == 1)
         if not markers.any():
-            row[:] = block
+            parts.append(block.T.tobytes())
             return end
+    row = np.empty((width, 4), np.uint8)
     j = 0
     shift = 0
     while j < width:
@@ -170,27 +171,27 @@ def _read_flat_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> i
             row[j] = (r, g, b, e)
             j += 1
             shift = 0
+    parts.append(row.T.tobytes())
     return pos
 
 
-def _read_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> int:
-    """Read one scanline into ``row`` ((width, 4) uint8); return the next offset.
+def _read_scanline(data: bytes, pos: int, width: int, parts: list[bytes]) -> int:
+    """Append one scanline to ``parts``, component after component; return the next offset.
 
     Adaptive RLE stores the four components one after another, each as codes:
     c > 128 repeats the next byte c - 128 times, 0 < c <= 128 copies the next c
-    bytes. Each code appends a bytes object, and one join fills the row.
+    bytes. Each code appends a bytes object, and the caller joins them once.
     """
     if width < _RLE_MIN_WIDTH or width > _RLE_MAX_WIDTH:
-        return _read_flat_scanline(data, pos, width, row)
+        return _read_flat_scanline(data, pos, width, parts)
     if pos + 4 > len(data):
         raise HdrFormatError("scanline header truncated")
     if data[pos] != 2 or data[pos + 1] != 2 or data[pos + 2] & 0x80:
-        return _read_flat_scanline(data, pos, width, row)
+        return _read_flat_scanline(data, pos, width, parts)
     if (data[pos + 2] << 8 | data[pos + 3]) != width:
         raise HdrFormatError("RLE scanline width disagrees with header")
     pos += 4
     size = len(data)
-    parts: list[bytes] = []
     append = parts.append
     for _ in range(4):
         x = 0
@@ -218,7 +219,6 @@ def _read_scanline(data: bytes, pos: int, width: int, row: np.ndarray) -> int:
                 append(data[pos : pos + code])
                 pos += code
                 x += code
-    row[:] = np.frombuffer(b"".join(parts), np.uint8).reshape(4, width).T
     return pos
 
 
@@ -232,7 +232,7 @@ _EXPONENT_SCALE.flags.writeable = False
 def rgbe_to_radiance(rgbe: np.ndarray) -> np.ndarray:
     """Decode (..., 4) uint8 RGBE pixels to (..., 3) float64 linear radiance."""
     rgbe = np.asarray(rgbe, dtype=np.uint8)
-    scale = _EXPONENT_SCALE[rgbe[..., 3]]
+    scale = _EXPONENT_SCALE.take(rgbe[..., 3])
     rgb = np.empty(rgbe.shape[:-1] + (3,))
     for c in range(3):  # one long loop per channel, not a 3-long broadcast
         np.multiply(rgbe[..., c], scale, out=rgb[..., c])
@@ -270,10 +270,11 @@ def read_radiance_hdr(data: bytes) -> HdrImage:
         raise HdrFormatError(f"{len(data) - pos} payload bytes cannot hold {height} scanlines")
     if width * height > MAX_RADIANCE_PIXELS:
         raise HdrFormatError(f"{width}x{height} exceeds the {MAX_RADIANCE_PIXELS}-pixel decode limit")
-    rgbe = np.zeros((height, width, 4), np.uint8)
-    for y in range(height):
-        pos = _read_scanline(data, pos, width, rgbe[y])
-    rgb = rgbe_to_radiance(rgbe)
+    parts: list[bytes] = []
+    for _ in range(height):
+        pos = _read_scanline(data, pos, width, parts)
+    planes = np.frombuffer(b"".join(parts), np.uint8).reshape(height, 4, width)
+    rgb = rgbe_to_radiance(planes.transpose(0, 2, 1))
     rgb.flags.writeable = False  # fresh array, skip the defensive copy
     return HdrImage(rgb)
 

@@ -121,11 +121,16 @@ def bin_index_map(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
         raise ParameterError("need at least 3 boundaries (2 bins)")
     if not (np.diff(edges) > 0).all():
         raise ParameterError("bin edges must be strictly increasing")
-    # count the interior edges at or below each value; NaN compares false, so
-    # it counts every edge and lands in the top bin
+    # count the interior edges at or below each value, one row strip at a time
+    # so each strip stays in cache; NaN compares false, so it counts every edge
+    # and lands in the top bin
     idx = np.zeros(np.shape(values), np.int32)
-    for edge in edges[1:-1]:
-        idx += ~(values < edge)
+
+    def kernel(a: int, b: int) -> None:
+        for edge in edges[1:-1]:
+            idx[a:b] += ~(values[a:b] < edge)
+
+    SERIAL.run_rows(kernel, len(idx))
     return idx
 
 
@@ -159,13 +164,13 @@ def build_integral_histogram(
     dtype = np.int32 if values.size < 2**30 else np.int64
     cum = np.zeros((bins, height + 1, width + 1), dtype)
 
-    def build_boundary(k: int) -> None:
-        # integer sums are exact in any order; along the rows first is faster
-        plane = cum[k, 1:, 1:]
-        np.cumsum(bmap < k, axis=1, dtype=dtype, out=plane)
-        _sum_down_columns(plane)
+    def row_prefix(k: int) -> None:
+        np.cumsum(bmap < k, axis=1, dtype=dtype, out=cum[k, 1:, 1:])
 
-    (pool or SERIAL).run_tasks(partial(build_boundary, k) for k in range(1, bins))
+    # integer sums are exact in any order: along the rows first, plane by
+    # plane, then down the columns of every plane at once, one add per row
+    (pool or SERIAL).run_tasks(partial(row_prefix, k) for k in range(1, bins))
+    _sum_down_columns(cum[1:, 1:, 1:].swapaxes(0, 1))
     return IntegralHistogram(width, height, bmap, cum)
 
 

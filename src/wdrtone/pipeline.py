@@ -102,6 +102,8 @@ def _tone_map(
                     (lambda: build(log_values), lambda: build(log_values * log_values))
                 )
                 del log_values
+            curve = tmo._global_tone_curve(hist, params)
+            global_weight = tmo._global_weight(sums, squares, params.epsilon)
         floored = log_lum.floored
         del log_lum  # the strips read the tables, never the log raster
 
@@ -126,14 +128,22 @@ def _tone_map(
                 # no usable range: emit constant mid-gray
                 fused = np.full(shape, (params.display_min + params.display_max) / 2.0)
             else:
+                numerator, weight_sum, value_sum = np.empty((3, *shape))
+                # scale 0 spans the image: one curve and one weight seed the fusion sums
+                np.take(curve, hist.bin_map[rows], out=value_sum)
+                weight_sum.fill(global_weight)
+                np.multiply(value_sum, global_weight, out=numerator)
+                lap("tone_map_ms")
                 offsets = tmo._strip_bin_offsets(hist, row_start, row_stop)
-                numerator, weight_sum, value_sum = np.zeros((3, *shape))
                 values, weights = np.empty((2, *shape))
-                for extent in schedule:
-                    tmo._tone_map_rows(row_start, row_stop, hist, extent, params, offsets, values)
+                for extent in schedule[1:]:
+                    window = tmo._window_counts(row_start, row_stop, width, height, extent)
+                    tmo._tone_map_rows(
+                        row_start, row_stop, hist, extent, params, offsets, window, values
+                    )
                     lap("tone_map_ms")
                     tmo._weight_rows(
-                        row_start, row_stop, sums, squares, extent, params.epsilon, weights
+                        row_start, row_stop, sums, squares, extent, params.epsilon, window, weights
                     )
                     lap("weights_ms")
                     # weights are rewritten next scale, so the accumulator may clobber them

@@ -56,13 +56,18 @@ class FieldExtent(NamedTuple):
 
 
 def rgb_to_luminance(image: HdrImage) -> np.ndarray:
-    """BT.709 luma: 0.2126 R + 0.7152 G + 0.0722 B."""
+    """BT.709 luma: 0.2126 R + 0.7152 G + 0.0722 B, one row strip at a time."""
     px = image.pixels
-    luma = px[..., 0] * LUMA_RED
-    scratch = px[..., 1] * LUMA_GREEN
-    luma += scratch
-    np.multiply(px[..., 2], LUMA_BLUE, out=scratch)
-    luma += scratch
+    luma = np.empty(px.shape[:2])
+
+    def kernel(a: int, b: int) -> None:
+        out = np.multiply(px[a:b, :, 0], LUMA_RED, out=luma[a:b])
+        scratch = px[a:b, :, 1] * LUMA_GREEN
+        out += scratch
+        np.multiply(px[a:b, :, 2], LUMA_BLUE, out=scratch)
+        out += scratch
+
+    SERIAL.run_rows(kernel, len(px))
     return luma
 
 
@@ -74,10 +79,15 @@ def resolve_log_floor(luminance: np.ndarray, log_floor: float | None = None) -> 
 
 
 def log_transform(luminance: np.ndarray, log_floor: float) -> LogLuminance:
-    """ln(max(luminance, floor)) with cached extrema; keeps the floored raster."""
+    """ln(max(luminance, floor)) per row strip, with cached extrema; keeps the floored raster."""
     require_positive_finite("log_floor", log_floor)
-    floored = np.maximum(luminance, log_floor)
-    values = np.log(floored)
+    floored = np.empty(np.shape(luminance))
+    values = np.empty_like(floored)
+
+    def kernel(a: int, b: int) -> None:
+        np.log(np.maximum(luminance[a:b], log_floor, out=floored[a:b]), out=values[a:b])
+
+    SERIAL.run_rows(kernel, len(floored))
     return LogLuminance(values, floored, float(values.min()), float(values.max()))
 
 
@@ -175,6 +185,15 @@ def _strip_bin_offsets(hist: IntegralHistogram, row_start: int, row_stop: int) -
     return hist.bin_map[row_start:row_stop].astype(np.intp) * table_cells
 
 
+def _window_counts(
+    row_start: int, row_stop: int, width: int, height: int, extent: FieldExtent
+) -> np.ndarray:
+    """Clamped window pixel counts, as floats, of rows [row_start, row_stop) at one field size."""
+    x_lo, x_hi = _clamped_window_bounds(0, width, extent.half_width, width)
+    y_lo, y_hi = _clamped_window_bounds(row_start, row_stop, extent.half_height, height)
+    return ((y_hi - y_lo)[:, None] * (x_hi - x_lo)[None, :]).astype(np.float64)
+
+
 def _tone_map_rows(
     row_start: int,
     row_stop: int,
@@ -182,23 +201,40 @@ def _tone_map_rows(
     extent: FieldExtent,
     params: TmoParams,
     bin_offsets: np.ndarray,
+    window: np.ndarray,
     out: np.ndarray,
 ) -> None:
     """Display values of rows [row_start, row_stop) at one field size into a strip.
 
     ``bin_offsets`` is the strip's ``_strip_bin_offsets``; it does not depend
     on the field size, so a caller running several scales computes it once.
+    ``window`` is the strip's ``_window_counts``. The integer corners pinned to
+    the zero pad add exactly nothing, so they are never gathered.
     """
-    x_lo, x_hi = _clamped_window_bounds(0, hist.width, extent.half_width, hist.width)
-    y_lo, y_hi = _clamped_window_bounds(row_start, row_stop, extent.half_height, hist.height)
+    height, width = hist.height, hist.width
+    x_lo, x_hi = _clamped_window_bounds(0, width, extent.half_width, width)
+    y_lo, y_hi = _clamped_window_bounds(row_start, row_stop, extent.half_height, height)
+    # the first column and strip row whose window's low end leaves the zero pad
+    x0 = min(extent.half_width + 1, width)
+    y0 = min(max(extent.half_height + 1 - row_start, 0), row_stop - row_start)
     flat = hist.cum_below.reshape(-1)
-    row_stride = hist.width + 1
+    row_stride = width + 1
     top = bin_offsets + (y_hi * row_stride)[:, None]
-    bottom = bin_offsets + (y_lo * row_stride)[:, None]
-    below = flat[top + x_hi] - flat[bottom + x_hi] - flat[top + x_lo] + flat[bottom + x_lo]
-    window = (y_hi - y_lo)[:, None] * (x_hi - x_lo)[None, :]
+    below = flat[top + x_hi]
+    below[:, x0:] -= flat[top[:, x0:] + x_lo[x0:]]
+    bottom = bin_offsets[y0:] + (y_lo[y0:] * row_stride)[:, None]
+    below[y0:] -= flat[bottom + x_hi]
+    below[y0:, x0:] += flat[bottom[:, x0:] + x_lo[x0:]]
+    np.divide(below, window, out=out)
+    out *= params.display_max - params.display_min
+    out += params.display_min
+
+
+def _global_tone_curve(hist: IntegralHistogram, params: TmoParams) -> np.ndarray:
+    """The value ``_tone_map_rows`` gives each bin when every window is the image (scale 0)."""
+    below = hist.cum_below[:, hist.height, hist.width]
     span = params.display_max - params.display_min
-    out[...] = params.display_min + span * (below / window)
+    return params.display_min + span * (below / float(hist.height * hist.width))
 
 
 def tone_map_at_scale(
@@ -222,11 +258,10 @@ def tone_map_at_scale(
         )
     result = np.empty((height, width))
 
-    def kernel(row_start: int, row_stop: int) -> None:
-        offsets = _strip_bin_offsets(hist, row_start, row_stop)
-        _tone_map_rows(
-            row_start, row_stop, hist, extent, params, offsets, result[row_start:row_stop]
-        )
+    def kernel(a: int, b: int) -> None:
+        offsets = _strip_bin_offsets(hist, a, b)
+        window = _window_counts(a, b, width, height, extent)
+        _tone_map_rows(a, b, hist, extent, params, offsets, window, result[a:b])
 
     (pool or SERIAL).run_rows(kernel, height)
     return result
@@ -239,18 +274,19 @@ def _weight_rows(
     squares: IntegralImage,
     extent: FieldExtent,
     epsilon: float,
+    window: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """Variance weights of rows [row_start, row_stop) at one field size into a strip."""
+    """Variance weights of rows [row_start, row_stop) at one field size into a strip.
+
+    ``window`` is the strip's ``_window_counts``, shared with ``_tone_map_rows``.
+    """
     half_w, half_h = extent
-    x_lo, x_hi = _clamped_window_bounds(0, sums.width, half_w, sums.width)
-    y_lo, y_hi = _clamped_window_bounds(row_start, row_stop, half_h, sums.height)
     # first moments land in the output strip, second moments in a strip-local buffer
     mean = out
     moment = np.empty_like(mean)
     _box_window_sums(sums.table, half_w, half_h, row_start, row_stop, mean)
     _box_window_sums(squares.table, half_w, half_h, row_start, row_stop, moment)
-    window = ((y_hi - y_lo)[:, None] * (x_hi - x_lo)[None, :]).astype(np.float64)
     mean /= window
     moment /= window
     np.multiply(mean, mean, out=mean)
@@ -258,6 +294,14 @@ def _weight_rows(
     np.maximum(mean, 0.0, out=mean)  # cancellation on near-constant windows
     np.add(mean, epsilon, out=moment)
     np.divide(mean, moment, out=mean)
+
+
+def _global_weight(sums: IntegralImage, squares: IntegralImage, epsilon: float) -> float:
+    """The weight ``_weight_rows`` gives every pixel when every window is the image (scale 0)."""
+    count = float(sums.width * sums.height)
+    mean = sums.table[-1, -1] / count
+    variance = np.maximum(squares.table[-1, -1] / count - mean * mean, 0.0)
+    return variance / (variance + epsilon)
 
 
 def weight_map_at_scale(
@@ -272,9 +316,12 @@ def weight_map_at_scale(
         raise ParameterError("luminance and squared-luminance tables disagree in size")
     require_positive_finite("epsilon", epsilon)
     result = np.empty((sums.height, sums.width))
-    (pool or SERIAL).run_rows(
-        lambda a, b: _weight_rows(a, b, sums, squares, extent, epsilon, result[a:b]), sums.height
-    )
+
+    def kernel(a: int, b: int) -> None:
+        window = _window_counts(a, b, sums.width, sums.height, extent)
+        _weight_rows(a, b, sums, squares, extent, epsilon, window, result[a:b])
+
+    (pool or SERIAL).run_rows(kernel, sums.height)
     return result
 
 

@@ -185,6 +185,50 @@ class TestRleScanlines:
         assert np.array_equal(decoded[0], decoded[2])
 
 
+class TestRleErrors:
+    """Each RLE fault raises its own message, after valid flat and RLE rows."""
+
+    WIDTH = 8
+    VALID_ROWS = (
+        rle_scanline(8, [run(160, 8), literal(range(200, 208)), run(0, 8), run(129, 8)])
+        + bytes(np.arange(32, dtype=np.uint8) | 0x80)  # a flat row
+        + rle_scanline(8, [literal([140] * 3) + run(150, 5), run(7, 8), run(7, 8), run(130, 8)])
+    )
+
+    @pytest.mark.parametrize(
+        "last_row, message",
+        [
+            (bytes((2, 2)), "scanline header truncated"),
+            (rle_scanline(8, [run(160, 8), literal([130] * 3)]), "RLE scanline truncated"),
+            (rle_scanline(8, [run(160, 8), bytes((128 + 8,))]), "RLE run truncated"),
+            (rle_scanline(8, [bytes((8, 140, 141, 142))]), "RLE literal truncated"),
+            (rle_scanline(8, [run(160, 4), bytes((0, 140)) * 4]), "zero-length RLE literal"),
+            (rle_scanline(8, [run(160, 5) + run(161, 4)] + [run(0, 8)] * 3), "RLE run overruns scanline"),
+            (
+                rle_scanline(8, [run(160, 5) + literal([1, 2, 3, 4])] + [run(0, 8)] * 3),
+                "RLE literal overruns scanline",
+            ),
+            (rle_scanline(9, [run(160, 9)] * 4), "RLE scanline width disagrees with header"),
+        ],
+        ids=[
+            "header_truncated",
+            "scanline_truncated",
+            "run_truncated",
+            "literal_truncated",
+            "zero_length_literal",
+            "run_overrun",
+            "literal_overrun",
+            "width_mismatch",
+        ],
+    )
+    def test_fault_in_the_last_row_raises_its_message(self, last_row, message):
+        valid = hdr_io.read_radiance_hdr(RADIANCE_HEADER.format(3, self.WIDTH).encode() + self.VALID_ROWS)
+        assert valid.pixels.shape == (3, self.WIDTH, 3)
+        data = RADIANCE_HEADER.format(4, self.WIDTH).encode() + self.VALID_ROWS + last_row
+        with pytest.raises(HdrFormatError, match=f"^{message}$"):
+            hdr_io.read_radiance_hdr(data)
+
+
 class TestLegacyRepeatMarkers:
     # literals, a marker, a literal, then two consecutive markers: the second
     # repeats 1 << 8 times, because consecutive markers shift by 8

@@ -27,6 +27,14 @@ class TestToneMapImage:
         # mid-gray: 0.5 display, gamma 1 -> 128
         assert ldr.pixels[0, 0, 0] == 128
 
+    def test_constant_image_midgray_at_default_scales(self):
+        # 48x64 admits all five default scales, so none of them is skipped
+        img = HdrImage(np.full((48, 64, 3), 0.37))
+        arr, _ = tone_map_to_array(img)
+        assert arr == pytest.approx(np.full((48, 64, 3), 0.5))
+        ldr, _ = tone_map_image(img, TmoParams(gamma=1.0))
+        assert (ldr.pixels == 128).all()
+
     def test_constant_colored_image_is_constant(self):
         img = HdrImage(np.tile(np.array([0.2, 0.4, 0.6]), (8, 8, 1)))
         ldr, _ = tone_map_image(img, TmoParams())
@@ -141,10 +149,13 @@ class TestSingleBuildProperty:
 
 
 class TestStageFunctionsComposeToPipeline:
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_rebuilt_pipeline_is_bit_identical(self, threads):
-        img = random_wdr(9, 37, 53)
-        params = TmoParams(bins=5, scales=3)
+    @staticmethod
+    def assert_rebuild_matches(img, params, threads):
+        """The stage functions composed by hand give the pipeline's bits.
+
+        The stage functions run scale 0 as a field like any other, where the
+        strip pass looks it up from one global curve and weight.
+        """
         luminance = tmo.rgb_to_luminance(img)
         floor = tmo.resolve_log_floor(luminance, params.log_floor)
         log_lum = tmo.log_transform(luminance, floor)
@@ -168,9 +179,24 @@ class TestStageFunctionsComposeToPipeline:
         ldr = quantize_ldr(display, params.gamma)
 
         arr, _ = tone_map_to_array(img, params, threads=threads)
-        assert np.array_equal(arr, display)
+        assert arr.tobytes() == display.tobytes()
         image, _ = tone_map_image(img, params, threads=threads)
         assert np.array_equal(image.pixels, ldr.pixels)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_rebuilt_pipeline_is_bit_identical(self, threads):
+        self.assert_rebuild_matches(random_wdr(9, 37, 53), TmoParams(bins=5, scales=3), threads)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            TmoParams(bins=4, scales=1),
+            TmoParams(bins=6, scales=1, display_min=-0.3, display_max=1.4),
+            TmoParams(bins=3, scales=5, display_min=0.2, display_max=0.8, epsilon=0.01),
+        ],
+    )
+    def test_rebuilt_pipeline_matches_across_scales_and_display_ranges(self, params):
+        self.assert_rebuild_matches(random_wdr(11, 40, 48), params, threads=2)
 
 
 class TestExposureInvariance:

@@ -226,6 +226,64 @@ class TestToneMapAtScale:
                     assert mapped[y, x] == pytest.approx(expected, abs=1e-12)
 
 
+class TestStripKernel:
+    """The strip pass's gathers and its scale-0 shortcuts against plain formulas."""
+
+    @staticmethod
+    def four_corner_display(hist, extent, params):
+        """Every pixel's value from all four corners of its clamped window."""
+        height, width = hist.height, hist.width
+        y, x = np.mgrid[0:height, 0:width]
+        x0, x1 = np.maximum(x - extent.half_width, 0), np.minimum(x + extent.half_width + 1, width)
+        y0, y1 = np.maximum(y - extent.half_height, 0), np.minimum(y + extent.half_height + 1, height)
+        c, b = hist.cum_below, hist.bin_map
+        below = c[b, y1, x1] - c[b, y0, x1] - c[b, y1, x0] + c[b, y0, x0]
+        span = params.display_max - params.display_min
+        return params.display_min + span * (below / ((y1 - y0) * (x1 - x0)))
+
+    # 2x2 to 9x13: every strip [a, b), so strips touching the top and the
+    # bottom edge, at every extent of the deepest admissible schedule
+    @pytest.mark.parametrize("height,width", [(2, 2), (2, 5), (5, 2), (4, 7), (8, 8), (9, 13), (13, 9)])
+    def test_pruned_gathers_equal_four_corner_formula(self, height, width):
+        rng = np.random.default_rng(height * 16 + width)
+        log_lum, hist = hist_for(rng.normal(0, 1, (height, width)), 4)
+        params = TmoParams(bins=4, display_min=-0.25, display_max=1.5)
+        scales = min(height, width).bit_length() - 1
+        for extent in tmo.make_scale_schedule(width, height, scales):
+            expected = self.four_corner_display(hist, extent, params)
+            for a in range(height):
+                for b in range(a + 1, height + 1):
+                    offsets = tmo._strip_bin_offsets(hist, a, b)
+                    window = tmo._window_counts(a, b, width, height, extent)
+                    out = np.full((b - a, width), np.nan)
+                    tmo._tone_map_rows(a, b, hist, extent, params, offsets, window, out)
+                    assert out.tobytes() == expected[a:b].tobytes(), (extent, a, b)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            TmoParams(bins=5),
+            TmoParams(bins=3, scales=1, display_min=-0.4, display_max=0.9),
+            TmoParams(bins=8, scales=2, display_min=0.3, display_max=2.0, epsilon=0.02),
+        ],
+    )
+    def test_scale_zero_lookup_and_weight_equal_the_wrappers(self, params):
+        rng = np.random.default_rng(params.bins)
+        # several sizes and log offsets, so a reordered expression shows in the last bits
+        for height, width, offset in ((40, 53, 0.0), (41, 67, 3.3), (64, 37, -7.9), (77, 91, 50.0)):
+            values = offset + rng.normal(0, 2, (height, width))
+            log_lum, hist = hist_for(values, params.bins)
+            sums = integral.build_integral_image(values)
+            squares = integral.build_integral_image(values * values)
+            extent = tmo.make_scale_schedule(width, height, params.scales)[0]
+            mapped = tmo.tone_map_at_scale(log_lum, hist, extent, params)
+            curve = tmo._global_tone_curve(hist, params)
+            assert curve[hist.bin_map].tobytes() == mapped.tobytes()
+            weights = tmo.weight_map_at_scale(sums, squares, extent, params.epsilon)
+            weight = tmo._global_weight(sums, squares, params.epsilon)
+            assert weights.tobytes() == np.full(weights.shape, weight).tobytes()
+
+
 class TestWeightMap:
     def build_pair(self, values):
         return (

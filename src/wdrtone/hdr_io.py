@@ -386,10 +386,7 @@ def write_pfm(image: HdrImage) -> bytes:
 # ---------------------------------------------------------------------------
 
 def _encode_rows(rgb: np.ndarray, gamma: float, out: np.ndarray) -> None:
-    """Encode a strip of [0, 1] floats into a uint8 strip."""
-    # comparisons with NaN are false, so non-finite values fail here too
-    if not (rgb.min() >= 0.0 and rgb.max() <= 1.0):
-        raise ParameterError("display values must lie in [0, 1]; clamp before encoding")
+    """Encode a strip of [0, 1] floats into a uint8 strip; the range is the caller's to check."""
     work = np.power(rgb, 1.0 / gamma)
     np.multiply(work, 255.0, out=work)
     np.rint(work, out=work)
@@ -405,6 +402,9 @@ def quantize_ldr(rgb: np.ndarray, gamma: float) -> LdrImage:
     rgb = np.asarray(rgb, dtype=np.float64)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ParameterError(f"expected a (H, W, 3) raster, got shape {rgb.shape}")
+    # NaN compares false, so it fails too; the initial values keep an empty raster valid
+    if not (rgb.min(initial=0.0) >= 0.0 and rgb.max(initial=1.0) <= 1.0):
+        raise ParameterError("display values must lie in [0, 1]; clamp before encoding")
     encoded = np.empty(rgb.shape, np.uint8)
     SERIAL.run_rows(
         lambda a, b: _encode_rows(rgb[a:b], gamma, encoded[a:b]), rgb.shape[0]

@@ -93,12 +93,11 @@ def naive_tone_map_array(image: HdrImage, params: TmoParams | None = None) -> np
     """Reference pipeline on a [0, 1] float RGB output; explicit window loops."""
     params = params or TmoParams()
     height, width = image.height, image.width
-    if width < 2 or height < 2:
-        raise ParameterError(f"image must be at least 2x2, got {width}x{height}")
     if width > MAX_NAIVE_SIZE or height > MAX_NAIVE_SIZE:
         raise ParameterError(
             f"naive path is capped at {MAX_NAIVE_SIZE}x{MAX_NAIVE_SIZE}, got {width}x{height}"
         )
+    extents = _halving_extents(width, height, params.scales)
     px = image.pixels
     luminance = px[..., 0] * 0.2126 + px[..., 1] * 0.7152 + px[..., 2] * 0.0722
     if params.log_floor is not None:
@@ -121,7 +120,6 @@ def naive_tone_map_array(image: HdrImage, params: TmoParams | None = None) -> np
         numerator = np.zeros((height, width))
         weight_sum = np.zeros((height, width))
         value_sum = np.zeros((height, width))
-        extents = _halving_extents(width, height, params.scales)
         for half_w, half_h in extents:
             mapped = np.empty((height, width))
             weights = np.empty((height, width))

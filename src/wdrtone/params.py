@@ -51,7 +51,8 @@ class TmoParams:
         log-luminance variance; larger values bias toward the global look.
     saturation: color restoration exponent in (0, 1].
     display_min / display_max: output luminance interval the per-field
-        mapping targets.
+        mapping targets; display_max is positive and finite, display_min
+        finite and below it.
     log_floor: positive clamp applied to luminance before the logarithm;
         None selects the scene-relative default.
     gamma: display encoding exponent applied when quantizing to 8 bits.
@@ -71,11 +72,10 @@ class TmoParams:
         require_scales(self.scales)
         require_positive_finite("epsilon", self.epsilon)
         require_saturation(self.saturation)
-        if not (math.isfinite(self.display_min) and math.isfinite(self.display_max)):
-            raise ParameterError("display range must be finite")
-        if not self.display_min < self.display_max:
+        require_positive_finite("display_max", self.display_max)
+        if not -math.inf < self.display_min < self.display_max:
             raise ParameterError(
-                f"display_min must be < display_max, got [{self.display_min}, {self.display_max}]"
+                f"display_min must be finite and < display_max, got [{self.display_min}, {self.display_max}]"
             )
         if self.log_floor is not None:
             require_positive_finite("log_floor", self.log_floor)

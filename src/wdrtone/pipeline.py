@@ -18,7 +18,6 @@ from typing import Iterator
 import numpy as np
 
 from . import integral, tmo
-from .errors import ParameterError
 from .hdr_io import HdrImage, LdrImage, _encode_rows
 from .parallel import WorkerPool
 from .params import TmoParams
@@ -77,8 +76,8 @@ def _tone_map(
 ) -> tuple[np.ndarray | LdrImage, StageTimings]:
     params = params or TmoParams()
     height, width = image.height, image.width
-    if width < 2 or height < 2:
-        raise ParameterError(f"image must be at least 2x2, got {width}x{height}")
+    # the scale rule depends on the size alone, so it fails before any pixel work
+    schedule = tmo.make_scale_schedule(width, height, params.scales)
     timings = StageTimings()
     with _timed(timings, "total_ms"), WorkerPool(threads) as pool:
         with _timed(timings, "luminance_ms"):
@@ -89,7 +88,6 @@ def _tone_map(
             log_lum = tmo.log_transform(luminance, floor)
             del luminance
             edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
-            schedule = () if degenerate else tmo.make_scale_schedule(width, height, params.scales)
 
         if not degenerate:
             with _timed(timings, "integral_histogram_ms"):
@@ -154,6 +152,7 @@ def _tone_map(
 
             display = np.empty((*shape, 3)) if encode else result[rows]
             tmo._restore_rows(image.pixels[rows], floored[rows], fused, params.saturation, display)
+            # display_max is positive and finite, so this lands in [0, 1] as _encode_rows needs
             np.clip(display, 0.0, params.display_max, out=display)
             display /= params.display_max
             lap("color_restore_ms")

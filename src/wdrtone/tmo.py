@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .hdr_io import HdrImage
-from .integral import IntegralHistogram, IntegralImage
+from .integral import IntegralHistogram, IntegralImage, Region, region_variance
 from .parallel import SERIAL, WorkerPool
 from .params import (
     ABSOLUTE_LOG_FLOOR,
@@ -298,9 +298,7 @@ def _weight_rows(
 
 def _global_weight(sums: IntegralImage, squares: IntegralImage, epsilon: float) -> float:
     """The weight ``_weight_rows`` gives every pixel when every window is the image (scale 0)."""
-    count = float(sums.width * sums.height)
-    mean = sums.table[-1, -1] / count
-    variance = np.maximum(squares.table[-1, -1] / count - mean * mean, 0.0)
+    variance = region_variance(sums, squares, Region(0, 0, sums.width, sums.height))
     return variance / (variance + epsilon)
 
 

@@ -139,7 +139,7 @@ def test_invariant_suite():
         assert (fused < params.display_max).all()
 
         # constant input maps to a constant image
-        flat, _ = tone_map_image(HdrImage(np.full((20, 20, 3), 2.5)), TmoParams())
+        flat, _ = tone_map_image(HdrImage(np.full((32, 32, 3), 2.5)), TmoParams())
         assert (flat.pixels.reshape(-1, 3) == flat.pixels[0, 0]).all()
 
         # single full-field scale is a global monotone tone curve

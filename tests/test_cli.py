@@ -117,11 +117,16 @@ class TestSingleMode:
             assert run("--input", bad, "--output", tmp_path / "o.ppm") == 2
         assert "cannot read input" in capsys.readouterr().err
 
-    def test_invalid_params_exit_3(self, scene, tmp_path):
+    def test_invalid_params_exit_3(self, scene, tmp_path, capsys):
         out = tmp_path / "o.ppm"
         assert run("--input", scene, "--output", out, "--bins", "1") == 3
         assert run("--input", scene, "--output", out, "--epsilon", "-0.5") == 3
         assert run("--input", scene, "--output", out, "--sat", "1.5") == 3
+        capsys.readouterr()
+        argv = ("--display-min", "-1", "--display-max", "0")
+        assert run("--input", scene, "--output", out, *argv) == 3
+        assert "display_max must be a positive finite real" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oversized_scales_exit_3(self, scene, tmp_path, capsys):
         code = run("--input", scene, "--output", tmp_path / "o.ppm", "--scales", "9")

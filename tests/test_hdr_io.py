@@ -462,12 +462,15 @@ class TestLdrOutput:
                 hdr_io.quantize_ldr(rgb, gamma=2.2)
 
     def test_out_of_range_in_a_later_strip_raises(self):
-        # 200 rows span four row strips, so the bad value is met in the last one
-        for bad in (np.nan, np.inf, -np.inf):
+        # 200 rows span four row strips, and the bad value sits in the last one
+        for bad in (-0.1, 1.1, np.nan, np.inf, -np.inf):
             rgb = np.full((200, 1000, 3), 0.5)
             rgb[-2, 500, 1] = bad
             with pytest.raises(ParameterError, match="display values must lie in"):
                 hdr_io.quantize_ldr(rgb, gamma=2.2)
+
+    def test_empty_raster_encodes(self):
+        assert hdr_io.quantize_ldr(np.zeros((0, 4, 3)), 2.2).pixels.shape == (0, 4, 3)
 
     def test_bad_gamma_raises(self):
         for gamma in (0.0, -2.2, np.inf, np.nan):

@@ -137,6 +137,13 @@ class TestBinning:
         with pytest.raises(ParameterError):
             integral.bin_index_map(np.zeros((2, 2)), np.array([0.0, 1.0, 1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "edges", [[0.0, 1.0], [[0.0, 1.0, 2.0]]], ids=["one_bin", "two_dimensional"]
+    )
+    def test_fewer_than_two_bins_or_nested_edges_raise(self, edges):
+        with pytest.raises(ParameterError, match="need at least 3 boundaries"):
+            integral.bin_index_map(np.zeros((2, 2)), np.array(edges))
+
     @pytest.mark.parametrize("bins", range(2, 12))
     def test_matches_searchsorted_on_and_beside_every_edge(self, bins):
         lo, hi = -3.7, 5.2

@@ -20,7 +20,7 @@ def random_wdr(seed, height, width):
 
 class TestToneMapImage:
     def test_constant_image_constant_midgray(self):
-        img = HdrImage(np.full((12, 10, 3), 4.2))
+        img = HdrImage(np.full((38, 32, 3), 4.2))
         params = TmoParams(display_min=0.0, display_max=1.0, gamma=1.0)
         ldr, _ = tone_map_image(img, params)
         assert (ldr.pixels == ldr.pixels[0, 0]).all()
@@ -36,17 +36,17 @@ class TestToneMapImage:
         assert (ldr.pixels == 128).all()
 
     def test_constant_colored_image_is_constant(self):
-        img = HdrImage(np.tile(np.array([0.2, 0.4, 0.6]), (8, 8, 1)))
+        img = HdrImage(np.tile(np.array([0.2, 0.4, 0.6]), (32, 32, 1)))
         ldr, _ = tone_map_image(img, TmoParams())
         assert (ldr.pixels.reshape(-1, 3) == ldr.pixels[0, 0]).all()
 
     def test_nearly_constant_image_is_midgray(self):
         # a log range a few ulps wide: the bin edges round onto each other
-        px = np.full((6, 6, 3), 1e300)
+        px = np.full((32, 32, 3), 1e300)
         px[2, 3] *= 1 + 334e-16
         img = HdrImage(px)
         arr, _ = tone_map_to_array(img)
-        assert arr == pytest.approx(np.full((6, 6, 3), 0.5))
+        assert arr == pytest.approx(np.full((32, 32, 3), 0.5))
         expected = oracle.naive_tone_map(img).pixels
         for threads in (1, 2):
             ldr, _ = tone_map_image(img, threads=threads)
@@ -104,8 +104,34 @@ class TestToneMapImage:
             assert peak_mib <= limit_mib, f"{run.__name__}: {peak_mib:.2f} MiB"
 
     def test_too_small_image_rejected(self):
-        with pytest.raises(ParameterError, match="image must be at least 2x2, got 5x1"):
+        with pytest.raises(ParameterError, match="collapse below a 2x2 field on a 5x1 image"):
             tone_map_image(HdrImage(np.ones((1, 5, 3))), TmoParams())
+
+    @pytest.mark.parametrize(
+        "pixels",
+        [
+            np.full((8, 8, 3), 0.5),  # no luminance range
+            np.exp(np.random.default_rng(6).normal(0, 2, (8, 8, 3))),
+            np.ones((1, 5, 3)),
+        ],
+        ids=["constant_8x8", "textured_8x8", "5x1"],
+    )
+    def test_scale_rule_fails_before_pixel_work(self, monkeypatch, pixels):
+        # the rule depends on the size alone, so content never changes the outcome
+        calls = []
+        luminance = tmo.rgb_to_luminance
+        monkeypatch.setattr(tmo, "rgb_to_luminance", lambda img: calls.append(img) or luminance(img))
+        img = HdrImage(pixels)
+        for run in (tone_map_image, tone_map_to_array, oracle.naive_tone_map):
+            with pytest.raises(ParameterError, match="5 scales collapse below"):
+                run(img, TmoParams(scales=5))
+        assert calls == []
+
+    def test_thread_count_fails_before_pixel_work(self, monkeypatch):
+        monkeypatch.setattr(tmo, "rgb_to_luminance", None)  # any call would raise TypeError
+        for run in (tone_map_image, tone_map_to_array):
+            with pytest.raises(ParameterError, match="threads must be >= 0"):
+                run(HdrImage(np.ones((32, 32, 3))), threads=-1)
 
     def test_scale_overflow_propagates(self):
         img = random_wdr(4, 8, 8)
@@ -226,7 +252,7 @@ class TestStageTimings:
             assert getattr(timings, name) > 0.0, name
 
     def test_degenerate_path_skips_integral_stages(self):
-        img = HdrImage(np.full((16, 16, 3), 1.0))
+        img = HdrImage(np.full((32, 32, 3), 1.0))
         _, timings = tone_map_image(img, TmoParams())
         assert timings.integral_histogram_ms == 0.0
         assert timings.tone_map_ms == 0.0

@@ -451,3 +451,15 @@ def test_stage_rejects_as_params_do(field, value):
     with pytest.raises(ParameterError) as from_stage:
         STAGE_SITES[field](value)
     assert str(from_stage.value) == str(from_params.value)
+
+
+@pytest.mark.parametrize("display_max", [0.0, -1.0, np.inf, np.nan])
+def test_display_max_must_be_positive_finite(display_max):
+    with pytest.raises(ParameterError, match="display_max must be a positive finite real"):
+        TmoParams(display_min=-2.0, display_max=display_max)
+
+
+@pytest.mark.parametrize("display_min", [-np.inf, np.nan, 1.0, 2.0])
+def test_display_min_must_be_finite_and_below_display_max(display_min):
+    with pytest.raises(ParameterError, match="display_min must be finite and < display_max"):
+        TmoParams(display_min=display_min)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -13,6 +14,11 @@ from .errors import ParameterError
 # input rescales the floor with it.
 RELATIVE_LOG_FLOOR = 1e-6
 ABSOLUTE_LOG_FLOOR = 1e-12
+
+# BT.709 luma coefficients
+LUMA_RED = 0.2126
+LUMA_GREEN = 0.7152
+LUMA_BLUE = 0.0722
 
 # Below this summed weight the weighted fusion is 0/0; fall back to the plain
 # mean, which preserves the constant-image identity.
@@ -52,7 +58,8 @@ class TmoParams:
     saturation: color restoration exponent in (0, 1].
     display_min / display_max: output luminance interval the per-field
         mapping targets; display_max is positive and finite, display_min
-        finite and below it.
+        finite and below it, and twice max(scales, (1 / LUMA_BLUE) **
+        saturation) times the larger magnitude stays finite.
     log_floor: positive clamp applied to luminance before the logarithm;
         None selects the scene-relative default.
     gamma: display encoding exponent applied when quantizing to 8 bits.
@@ -76,6 +83,15 @@ class TmoParams:
         if not -math.inf < self.display_min < self.display_max:
             raise ParameterError(
                 f"display_min must be finite and < display_max, got [{self.display_min}, {self.display_max}]"
+            )
+        # twice the larger magnitude bounds the span, `scales` times it the fusion
+        # sums and (1 / LUMA_BLUE) ** saturation times it the colour restore, as
+        # no channel exceeds 1 / LUMA_BLUE times its luminance; 2x covers rounding
+        reach = 2.0 * max(self.scales, (1.0 / LUMA_BLUE) ** self.saturation)
+        if max(-self.display_min, self.display_max) > sys.float_info.max / reach:
+            raise ParameterError(
+                f"display range [{self.display_min}, {self.display_max}] overflows: "
+                f"its larger magnitude times {reach:.4g} must be a finite float"
             )
         if self.log_floor is not None:
             require_positive_finite("log_floor", self.log_floor)

@@ -135,14 +135,10 @@ def _tone_map(
                 offsets = tmo._strip_bin_offsets(hist, row_start, row_stop)
                 values, weights = np.empty((2, *shape))
                 for extent in schedule[1:]:
-                    window = tmo._window_counts(row_start, row_stop, width, height, extent)
-                    tmo._tone_map_rows(
-                        row_start, row_stop, hist, extent, params, offsets, window, values
-                    )
+                    window = tmo._window(row_start, row_stop, width, height, extent)
+                    tmo._tone_map_rows(hist, window, params, offsets, values)
                     lap("tone_map_ms")
-                    tmo._weight_rows(
-                        row_start, row_stop, sums, squares, extent, params.epsilon, window, weights
-                    )
+                    tmo._weight_rows(sums, squares, window, params.epsilon, weights)
                     lap("weights_ms")
                     # weights are rewritten next scale, so the accumulator may clobber them
                     tmo._accumulate_rows(numerator, weight_sum, value_sum, values, weights)

@@ -25,6 +25,9 @@ from .parallel import SERIAL, WorkerPool
 from .params import (
     ABSOLUTE_LOG_FLOOR,
     FUSION_WEIGHT_FLOOR,
+    LUMA_BLUE,
+    LUMA_GREEN,
+    LUMA_RED,
     RELATIVE_LOG_FLOOR,
     TmoParams,
     require_bins,
@@ -32,10 +35,6 @@ from .params import (
     require_saturation,
     require_scales,
 )
-
-LUMA_RED = 0.2126
-LUMA_GREEN = 0.7152
-LUMA_BLUE = 0.0722
 
 
 @dataclass(frozen=True)
@@ -126,45 +125,63 @@ def make_scale_schedule(width: int, height: int, scales: int) -> tuple[FieldExte
     return tuple(extents)
 
 
-def _clamped_window_bounds(
-    start: int, stop: int, half: int, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Window bounds [lo, hi) of positions [start, stop) after clamping to [0, size)."""
-    idx = np.arange(start, stop, dtype=np.intp)
-    return np.maximum(idx - half, 0), np.minimum(idx + half + 1, size)
+class _Axis(NamedTuple):
+    """Clamped window ends [lo, hi) of consecutive positions along one axis."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    padded: int  # leading positions whose low end is the zero pad (lo == 0)
+    pinned: int  # the first position whose high end is pinned at the size
 
 
-def _window_runs(start: int, stop: int, half: int, size: int):
-    """Split [start, stop) into runs where the clamped window ends keep one form.
+class _Window(NamedTuple):
+    """The clamped windows of a row strip at one field size."""
 
-    Yields (run, hi, lo) slices: run indexes the run's positions counted from
-    start; hi and lo index a zero-padded table axis of length size + 1 at each
-    window's high and low end. hi is one pinned row or column once the high
-    end reaches size; lo is None while the low end is pinned at the zero pad,
-    whose table terms vanish.
+    x: _Axis
+    y: _Axis
+    count: np.ndarray  # pixels per window, as floats
+
+
+def _window(row_start: int, row_stop: int, width: int, height: int, extent: FieldExtent) -> _Window:
+    """Windows of rows [row_start, row_stop), centered on each pixel and clamped to the image."""
+
+    def axis(start: int, stop: int, half: int, size: int) -> _Axis:
+        idx, n = np.arange(start, stop, dtype=np.intp), stop - start
+        return _Axis(
+            np.maximum(idx - half, 0),
+            np.minimum(idx + half + 1, size),
+            min(max(half + 1 - start, 0), n),
+            min(max(size - half - 1 - start, 0), n),
+        )
+
+    x = axis(0, width, extent.half_width, width)
+    y = axis(row_start, row_stop, extent.half_height, height)
+    return _Window(x, y, ((y.hi - y.lo)[:, None] * (x.hi - x.lo)[None, :]).astype(np.float64))
+
+
+def _runs(axis: _Axis):
+    """(run, hi, lo) slices for each run of positions between the axis's cut points.
+
+    hi and lo index a zero-padded table axis at each window's high and low
+    end: hi is one pinned entry from ``pinned`` on, and lo is None over the
+    ``padded`` positions, whose table terms vanish.
     """
-    # the low end leaves the zero pad at index half, the high end reaches size at size - half - 1
-    cuts = sorted({start, stop} | {min(max(cut, start), stop) for cut in (half, size - half - 1)})
+    cuts = sorted({0, len(axis.lo), axis.padded, axis.pinned})
     for a, b in zip(cuts, cuts[1:]):
-        hi = slice(size, size + 1) if a + half + 1 >= size else slice(a + half + 1, b + half + 1)
-        lo = None if a < half else slice(a - half, b - half)
-        yield slice(a - start, b - start), hi, lo
+        hi, lo = int(axis.hi[a]), int(axis.lo[a])
+        high = slice(hi, hi + 1 if a >= axis.pinned else hi + b - a)
+        yield slice(a, b), high, None if a < axis.padded else slice(lo, lo + b - a)
 
 
-def _box_window_sums(
-    table: np.ndarray, half_w: int, half_h: int, row_start: int, row_stop: int, out: np.ndarray
-) -> None:
-    """Clamped centered-window sums for rows [row_start, row_stop) into a strip.
+def _box_window_sums(table: np.ndarray, window: _Window, out: np.ndarray) -> None:
+    """Clamped window sums of a strip into ``out``, from its zero-padded summed-area table.
 
-    ``out`` holds the strip only: its row 0 is ``row_start``. Pure slice
-    arithmetic: every pixel's four-corner combination reduces, run by run, to
-    shifted views of the zero-padded table, so no gather indexing is needed.
-    Corners pinned to the padded edge contribute exactly zero and are dropped.
+    Pure slice arithmetic: every pixel's four-corner combination reduces, run
+    by run, to shifted views of the table, so no gather indexing is needed.
+    Corners on the zero pad contribute exactly zero and are dropped.
     """
-    height = table.shape[0] - 1
-    width = table.shape[1] - 1
-    x_runs = list(_window_runs(0, width, half_w, width))
-    for y_run, y_hi, y_lo in _window_runs(row_start, row_stop, half_h, height):
+    x_runs = list(_runs(window.x))
+    for y_run, y_hi, y_lo in _runs(window.y):
         hi = table[y_hi]
         lo = None if y_lo is None else table[y_lo]
         for x_run, x_hi, x_lo in x_runs:
@@ -185,47 +202,27 @@ def _strip_bin_offsets(hist: IntegralHistogram, row_start: int, row_stop: int) -
     return hist.bin_map[row_start:row_stop].astype(np.intp) * table_cells
 
 
-def _window_counts(
-    row_start: int, row_stop: int, width: int, height: int, extent: FieldExtent
-) -> np.ndarray:
-    """Clamped window pixel counts, as floats, of rows [row_start, row_stop) at one field size."""
-    x_lo, x_hi = _clamped_window_bounds(0, width, extent.half_width, width)
-    y_lo, y_hi = _clamped_window_bounds(row_start, row_stop, extent.half_height, height)
-    return ((y_hi - y_lo)[:, None] * (x_hi - x_lo)[None, :]).astype(np.float64)
-
-
 def _tone_map_rows(
-    row_start: int,
-    row_stop: int,
-    hist: IntegralHistogram,
-    extent: FieldExtent,
-    params: TmoParams,
-    bin_offsets: np.ndarray,
-    window: np.ndarray,
-    out: np.ndarray,
+    hist: IntegralHistogram, window: _Window, params: TmoParams, bin_offsets: np.ndarray, out: np.ndarray
 ) -> None:
-    """Display values of rows [row_start, row_stop) at one field size into a strip.
+    """Display values of a strip at one field size into ``out``.
 
     ``bin_offsets`` is the strip's ``_strip_bin_offsets``; it does not depend
     on the field size, so a caller running several scales computes it once.
-    ``window`` is the strip's ``_window_counts``. The integer corners pinned to
-    the zero pad add exactly nothing, so they are never gathered.
+    The integer corners on the zero pad add exactly nothing, so the leading
+    ``padded`` rows and columns never gather them.
     """
-    height, width = hist.height, hist.width
-    x_lo, x_hi = _clamped_window_bounds(0, width, extent.half_width, width)
-    y_lo, y_hi = _clamped_window_bounds(row_start, row_stop, extent.half_height, height)
-    # the first column and strip row whose window's low end leaves the zero pad
-    x0 = min(extent.half_width + 1, width)
-    y0 = min(max(extent.half_height + 1 - row_start, 0), row_stop - row_start)
+    x, y = window.x, window.y
+    x0, y0 = x.padded, y.padded
     flat = hist.cum_below.reshape(-1)
-    row_stride = width + 1
-    top = bin_offsets + (y_hi * row_stride)[:, None]
-    below = flat[top + x_hi]
-    below[:, x0:] -= flat[top[:, x0:] + x_lo[x0:]]
-    bottom = bin_offsets[y0:] + (y_lo[y0:] * row_stride)[:, None]
-    below[y0:] -= flat[bottom + x_hi]
-    below[y0:, x0:] += flat[bottom[:, x0:] + x_lo[x0:]]
-    np.divide(below, window, out=out)
+    row_stride = hist.width + 1
+    top = bin_offsets + (y.hi * row_stride)[:, None]
+    below = flat[top + x.hi]
+    below[:, x0:] -= flat[top[:, x0:] + x.lo[x0:]]
+    bottom = bin_offsets[y0:] + (y.lo[y0:] * row_stride)[:, None]
+    below[y0:] -= flat[bottom + x.hi]
+    below[y0:, x0:] += flat[bottom[:, x0:] + x.lo[x0:]]
+    np.divide(below, window.count, out=out)
     out *= params.display_max - params.display_min
     out += params.display_min
 
@@ -259,36 +256,24 @@ def tone_map_at_scale(
     result = np.empty((height, width))
 
     def kernel(a: int, b: int) -> None:
-        offsets = _strip_bin_offsets(hist, a, b)
-        window = _window_counts(a, b, width, height, extent)
-        _tone_map_rows(a, b, hist, extent, params, offsets, window, result[a:b])
+        window = _window(a, b, width, height, extent)
+        _tone_map_rows(hist, window, params, _strip_bin_offsets(hist, a, b), result[a:b])
 
     (pool or SERIAL).run_rows(kernel, height)
     return result
 
 
 def _weight_rows(
-    row_start: int,
-    row_stop: int,
-    sums: IntegralImage,
-    squares: IntegralImage,
-    extent: FieldExtent,
-    epsilon: float,
-    window: np.ndarray,
-    out: np.ndarray,
+    sums: IntegralImage, squares: IntegralImage, window: _Window, epsilon: float, out: np.ndarray
 ) -> None:
-    """Variance weights of rows [row_start, row_stop) at one field size into a strip.
-
-    ``window`` is the strip's ``_window_counts``, shared with ``_tone_map_rows``.
-    """
-    half_w, half_h = extent
+    """Variance weights of a strip at one field size into ``out``."""
     # first moments land in the output strip, second moments in a strip-local buffer
     mean = out
     moment = np.empty_like(mean)
-    _box_window_sums(sums.table, half_w, half_h, row_start, row_stop, mean)
-    _box_window_sums(squares.table, half_w, half_h, row_start, row_stop, moment)
-    mean /= window
-    moment /= window
+    _box_window_sums(sums.table, window, mean)
+    _box_window_sums(squares.table, window, moment)
+    mean /= window.count
+    moment /= window.count
     np.multiply(mean, mean, out=mean)
     np.subtract(moment, mean, out=mean)  # population variance
     np.maximum(mean, 0.0, out=mean)  # cancellation on near-constant windows
@@ -316,8 +301,8 @@ def weight_map_at_scale(
     result = np.empty((sums.height, sums.width))
 
     def kernel(a: int, b: int) -> None:
-        window = _window_counts(a, b, sums.width, sums.height, extent)
-        _weight_rows(a, b, sums, squares, extent, epsilon, window, result[a:b])
+        window = _window(a, b, sums.width, sums.height, extent)
+        _weight_rows(sums, squares, window, epsilon, result[a:b])
 
     (pool or SERIAL).run_rows(kernel, sums.height)
     return result

@@ -1,11 +1,15 @@
 """Command-line behavior: modes, exit codes, reports, file outputs."""
 
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wdrtone
 from wdrtone import cli
 from wdrtone.errors import ParameterError
 from wdrtone.hdr_io import HdrImage, write_pfm, write_radiance_hdr
@@ -126,6 +130,10 @@ class TestSingleMode:
         argv = ("--display-min", "-1", "--display-max", "0")
         assert run("--input", scene, "--output", out, *argv) == 3
         assert "display_max must be a positive finite real" in capsys.readouterr().err
+        # the span overflows, then the fusion sums
+        for argv in (("--display-min=-1e308", "--display-max=1e308"), ("--display-max=1e308",)):
+            assert run("--input", scene, "--output", out, "--scales", "3", *argv) == 3
+            assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oversized_scales_exit_3(self, scene, tmp_path, capsys):
@@ -289,6 +297,25 @@ class TestBenchMode:
                 t_small = timed(small)
             ratios.append(t_big / t_small)
         assert 1.3 <= statistics.median(ratios) <= 3.0
+
+
+class TestEntryPoint:
+    """``python -m wdrtone`` runs the same main as the console script."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(wdrtone.__file__).parents[1])}
+        argv = [sys.executable, "-m", "wdrtone", *map(str, argv)]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+
+    def test_help_exits_0(self):
+        done = self.run_module("--help")
+        assert done.returncode == 0 and "--input" in done.stdout
+
+    def test_missing_input_exits_2(self, tmp_path):
+        done = self.run_module("--input", tmp_path / "nope.hdr", "--output", tmp_path / "o.ppm")
+        assert done.returncode == 2
+        assert "cannot read input" in done.stderr and "Traceback" not in done.stderr
 
 
 class TestHelpers:

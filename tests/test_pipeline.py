@@ -138,6 +138,34 @@ class TestToneMapImage:
         with pytest.raises(ParameterError, match="6 scales collapse"):
             tone_map_image(img, TmoParams(scales=6))
 
+    @pytest.mark.parametrize("scales", [1, 5])
+    def test_largest_display_ranges_stay_finite(self, scales):
+        def accepted(display_max):
+            try:
+                TmoParams(scales=scales, display_max=display_max)
+            except ParameterError:
+                return False
+            return True
+
+        # bisect the float bit patterns for the largest accepted display_max
+        low, high = (int(np.float64(v).view(np.int64)) for v in (1.0, np.finfo(np.float64).max))
+        while low < high:
+            mid = (low + high + 1) // 2
+            if accepted(float(np.int64(mid).view(np.float64))):
+                low = mid
+            else:
+                high = mid - 1
+        largest = float(np.int64(low).view(np.float64))
+        assert not accepted(float(np.nextafter(largest, np.inf)))
+        pixels = cli.synthetic_wdr(40, 48, 1).pixels.copy()
+        pixels[::2, :, 0] = 0.0  # zero channels multiply the largest fused values
+        image = HdrImage(pixels)
+        # pytest turns any overflow or invalid-value warning into a failure
+        for low_end, high_end in ((0.0, largest), (-largest, largest), (-largest, 1.0)):
+            params = TmoParams(scales=scales, display_min=low_end, display_max=high_end)
+            assert not np.isnan(tone_map_to_array(image, params)[0]).any()
+            tone_map_image(image, params)
+
     def test_single_scale_monotone_on_luminance(self):
         # achromatic input: the output channel IS the display luminance,
         # so the global (full-field) tone curve must be non-decreasing

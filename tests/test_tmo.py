@@ -133,9 +133,9 @@ class TestBoxWindowSums:
     # every half and strip bound covers pinned-low, pinned-high, both-pinned and
     # sliding runs, 1-row strips, half = 0 and half >= size; the oblong rasters
     # catch a swapped axis
-    @pytest.mark.parametrize(
-        "height,width", [(n, n) for n in range(1, 12)] + [(1, 6), (6, 1), (3, 8), (8, 3)]
-    )
+    SHAPES = [(n, n) for n in range(1, 12)] + [(1, 6), (6, 1), (3, 8), (8, 3)]
+
+    @pytest.mark.parametrize("height,width", SHAPES)
     def test_strip_sums_match_naive_clamped_windows(self, height, width):
         rng = np.random.default_rng(height * 16 + width)
         # integer values keep every window sum exact whatever the order of operations
@@ -152,9 +152,37 @@ class TestBoxWindowSums:
                 for a in range(height):
                     for b in range(a + 1, height + 1):
                         out = np.full((b - a, width), np.nan)
-                        tmo._box_window_sums(table, half_w, half_h, a, b, out)
+                        window = tmo._window(a, b, width, height, FieldExtent(half_w, half_h))
+                        tmo._box_window_sums(table, window, out)
                         # strip-relative: row 0 of out is row a of the raster
                         assert np.array_equal(out, expected[a:b])
+
+    @pytest.mark.parametrize("height,width", SHAPES)
+    def test_float_sums_keep_the_four_corner_op_order(self, height, width):
+        rng = np.random.default_rng(height * 16 + width)
+        # offset floats round at every table entry, so a regrouped sum shows in the last bits
+        table = integral.build_integral_image(40.0 + rng.normal(0, 1, (height, width))).table
+
+        def clamped(start, stop, half, size):
+            at = np.arange(start, stop)
+            return np.maximum(at - half, 0), np.minimum(at + half + 1, size)
+
+        for half_h in range(height + 3):
+            for half_w in range(width + 3):
+                xl, xh = clamped(0, width, half_w, width)
+                for a in range(height):
+                    for b in range(a + 1, height + 1):
+                        yl, yh = clamped(a, b, half_h, height)
+                        window = tmo._window(a, b, width, height, FieldExtent(half_w, half_h))
+                        for axis, lo, hi, size in ((window.x, xl, xh, width), (window.y, yl, yh, height)):
+                            assert axis.lo.tolist() == lo.tolist() and axis.hi.tolist() == hi.tolist()
+                            assert axis.padded == (lo == 0).sum()
+                            assert axis.pinned == (hi < size).sum()
+                        yl, yh = yl[:, None], yh[:, None]
+                        expected = ((table[yh, xh] - table[yh, xl]) - table[yl, xh]) + table[yl, xl]
+                        out = np.full((b - a, width), np.nan)
+                        tmo._box_window_sums(table, window, out)
+                        assert out.tobytes() == expected.tobytes(), (half_h, half_w, a, b)
 
 
 class TestToneMapAtScale:
@@ -254,9 +282,9 @@ class TestStripKernel:
             for a in range(height):
                 for b in range(a + 1, height + 1):
                     offsets = tmo._strip_bin_offsets(hist, a, b)
-                    window = tmo._window_counts(a, b, width, height, extent)
+                    window = tmo._window(a, b, width, height, extent)
                     out = np.full((b - a, width), np.nan)
-                    tmo._tone_map_rows(a, b, hist, extent, params, offsets, window, out)
+                    tmo._tone_map_rows(hist, window, params, offsets, out)
                     assert out.tobytes() == expected[a:b].tobytes(), (extent, a, b)
 
     @pytest.mark.parametrize(
@@ -463,3 +491,16 @@ def test_display_max_must_be_positive_finite(display_max):
 def test_display_min_must_be_finite_and_below_display_max(display_min):
     with pytest.raises(ParameterError, match="display_min must be finite and < display_max"):
         TmoParams(display_min=display_min)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(display_min=-1e308, display_max=1e308),  # the span overflows
+        dict(display_max=1e308),  # the fusion sums overflow
+        dict(scales=1, display_max=1.79e308),  # the colour restore overflows
+    ],
+)
+def test_display_range_that_overflows_raises(params):
+    with pytest.raises(ParameterError, match="overflows"):
+        TmoParams(**params)

@@ -78,6 +78,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--flag -1e-3`` as ``--flag=-1e-3``.
+
+    argparse reads a token after a flag as its value only if it looks like -N
+    or -N.N; it takes any other token that starts with "-" for a flag.
+    """
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if flag.startswith("--") and "=" not in flag and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{flag}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def params_from_args(args: argparse.Namespace) -> TmoParams:
     return TmoParams(**{f.name: getattr(args, f.name) for f in fields(TmoParams)})
 
@@ -236,7 +257,7 @@ def run_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.bench:
             return run_bench(args)

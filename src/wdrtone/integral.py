@@ -5,9 +5,9 @@ needs no boundary branches: ``table[y][x]`` holds the sum of all source values
 strictly above and left of (x, y), and the sum over a half-open region
 [x0, x1) x [y0, y1) is ``T[y1,x1] - T[y0,x1] - T[y1,x0] + T[y0,x0]``.
 
-The integral histogram keeps, for each bin k, the table of "pixels in bins
-below k". That stack answers the strict below-the-center-bin count for any
-window with four lookups, independent of the bin count.
+The integral histogram keeps, for each bin k above the lowest, the table of
+"pixels in bins below k". That stack answers the strict below-the-center-bin
+count for any window with four lookups, independent of the bin count.
 """
 
 from __future__ import annotations
@@ -78,22 +78,36 @@ def _sum_down_columns(plane: np.ndarray) -> None:
         np.add(plane[y - 1], plane[y], out=plane[y])
 
 
+def _zero_bordered(height: int, width: int) -> np.ndarray:
+    """An uninitialised (height+1, width+1) float64 table with a zero top row and left column."""
+    table = np.empty((height + 1, width + 1))
+    table[0] = 0.0
+    table[:, 0] = 0.0
+    return table
+
+
+def _integrate(table: np.ndarray) -> IntegralImage:
+    """Prefix-sum the body ``[1:, 1:]`` of a zero-bordered table in place.
+
+    Sums run down the columns first, then along the rows; the tables depend
+    on that order.
+    """
+    body = table[1:, 1:]
+    _sum_down_columns(body)
+    np.cumsum(body, axis=1, out=body)
+    return IntegralImage(body.shape[1], body.shape[0], table)
+
+
 def build_integral_image(values: np.ndarray) -> IntegralImage:
     """Two-pass prefix sum with a zero top row and left column.
 
     Accumulates in float64 regardless of the raster's own precision;
-    single-precision accumulation degrades badly at megapixel scale. Sums run
-    down the columns first, then along the rows; the tables depend on that
-    order.
+    single-precision accumulation degrades badly at megapixel scale.
     """
     values = _as_raster(values)
-    height, width = values.shape
-    table = np.zeros((height + 1, width + 1))
-    body = table[1:, 1:]
-    body[...] = values
-    _sum_down_columns(body)
-    np.cumsum(body, axis=1, out=body)
-    return IntegralImage(width, height, table)
+    table = _zero_bordered(*values.shape)
+    table[1:, 1:] = values
+    return _integrate(table)
 
 
 def region_sum(image: IntegralImage, region: Region):
@@ -114,7 +128,8 @@ def bin_index_map(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
     Values exactly on an interior edge go to the upper bin; the top bin is
     closed above so the edges partition the full range. Out-of-range values
-    clip into the end bins.
+    clip into the end bins. The map has the smallest unsigned type that holds
+    the top bin: uint8 up to 256 bins.
     """
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or len(edges) < 3:
@@ -124,7 +139,7 @@ def bin_index_map(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     # count the interior edges at or below each value, one row strip at a time
     # so each strip stays in cache; NaN compares false, so it counts every edge
     # and lands in the top bin
-    idx = np.zeros(np.shape(values), np.int32)
+    idx = np.zeros(np.shape(values), np.min_scalar_type(len(edges) - 2))
 
     def kernel(a: int, b: int) -> None:
         for edge in edges[1:-1]:
@@ -138,15 +153,16 @@ def bin_index_map(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 class IntegralHistogram:
     """Cumulative per-bin summed-area tables over a scalar raster.
 
-    ``cum_below[k]`` is the integral image of the indicator "pixel's bin < k"
-    for k in [0, bins), so plane 0 is all zero; the would-be top plane is just
-    the pixel-count table (every pixel is in some bin) and is never stored.
+    ``cum_below[k - 1]`` is the integral image of the indicator "pixel's bin
+    < k" for k in [1, bins). Neither end plane is stored: k = 0 would be all
+    zero, and k = bins is just the pixel-count table (every pixel is in some
+    bin).
     """
 
     width: int
     height: int
-    bin_map: np.ndarray  # (height, width) int32 bin index per pixel
-    cum_below: np.ndarray  # (bins, height + 1, width + 1) integer tables
+    bin_map: np.ndarray  # (height, width) bin index per pixel, see bin_index_map
+    cum_below: np.ndarray  # (bins - 1, height + 1, width + 1) integer tables
 
 
 def build_integral_histogram(
@@ -162,15 +178,15 @@ def build_integral_histogram(
     bmap = bin_index_map(values, edges)
     bins = len(edges) - 1
     dtype = np.int32 if values.size < 2**30 else np.int64
-    cum = np.zeros((bins, height + 1, width + 1), dtype)
+    cum = np.zeros((bins - 1, height + 1, width + 1), dtype)
 
     def row_prefix(k: int) -> None:
-        np.cumsum(bmap < k, axis=1, dtype=dtype, out=cum[k, 1:, 1:])
+        np.cumsum(bmap < k, axis=1, dtype=dtype, out=cum[k - 1, 1:, 1:])
 
     # integer sums are exact in any order: along the rows first, plane by
     # plane, then down the columns of every plane at once, one add per row
     (pool or SERIAL).run_tasks(partial(row_prefix, k) for k in range(1, bins))
-    _sum_down_columns(cum[1:, 1:, 1:].swapaxes(0, 1))
+    _sum_down_columns(cum[:, 1:, 1:].swapaxes(0, 1))
     return IntegralHistogram(width, height, bmap, cum)
 
 
@@ -184,8 +200,9 @@ def region_histogram(hist: IntegralHistogram, region: Region) -> np.ndarray:
         - c[:, region.y1, region.x0]
         + c[:, region.y0, region.x0]
     ).astype(np.int64)
-    # every pixel falls in some bin, so the top bin holds the remainder
-    return np.diff(cumulative, append=region.pixel_count)
+    # nothing lies below bin 0, and every pixel falls in some bin, so the top
+    # bin holds the remainder
+    return np.diff(cumulative, prepend=0, append=region.pixel_count)
 
 
 def region_variance(sums: IntegralImage, squares: IntegralImage, region: Region) -> float:

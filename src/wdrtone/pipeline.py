@@ -6,6 +6,17 @@ call; only the per-scale window queries repeat. Everything after those builds
 runs as one kernel per row strip on a worker pool, so no full-frame fusion or
 display raster is kept; neither strip height nor worker count changes the
 output bits.
+
+The log raster is written into the body of the sums table and prefix-summed
+there in place, as is its square in the squares table. At one thread, with
+``tone_map_image``, the peak traced memory is then close to and at most
+
+    (4 * (bins - 1) + 16) * (H + 1) * (W + 1) + 12 * H * W
+    + 128 * min(STRIP_ROWS, H) * W  bytes:
+
+the int32 histogram planes and the two float64 tables; the floored luminance,
+the bin map (one byte per pixel up to 256 bins) and the uint8 result; and 16
+float64 rasters per strip.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -94,12 +106,18 @@ def _tone_map(
                 hist = integral.build_integral_histogram(log_lum.values, edges, pool)
 
             with _timed(timings, "integral_images_ms"):
-                log_values = log_lum.values  # squared inside its task, so freed at once
-                build = integral.build_integral_image
+                # the log raster is the sums table's body: square it into the
+                # squares table's body, then prefix-sum both in place
+                log_values = log_lum.values
+                squared = integral._zero_bordered(height, width)
+
+                def square(a: int, b: int) -> None:
+                    np.multiply(log_values[a:b], log_values[a:b], out=squared[1 + a : 1 + b, 1:])
+
+                pool.run_rows(square, height)
                 sums, squares = pool.run_tasks(
-                    (lambda: build(log_values), lambda: build(log_values * log_values))
+                    partial(integral._integrate, table) for table in (log_values.base, squared)
                 )
-                del log_values
             curve = tmo._global_tone_curve(hist, params)
             global_weight = tmo._global_weight(sums, squares, params.epsilon)
         floored = log_lum.floored

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .hdr_io import HdrImage
-from .integral import IntegralHistogram, IntegralImage, Region, region_variance
+from .integral import IntegralHistogram, IntegralImage, Region, _zero_bordered, region_variance
 from .parallel import SERIAL, WorkerPool
 from .params import (
     ABSOLUTE_LOG_FLOOR,
@@ -41,7 +41,7 @@ from .params import (
 class LogLuminance:
     """Log-domain luminance raster with cached extrema."""
 
-    values: np.ndarray  # (H, W) float64, ln(floored)
+    values: np.ndarray  # (H, W) float64 ln(floored), the body [1:, 1:] of zero-bordered values.base
     floored: np.ndarray  # (H, W) linear luminance clamped at the log floor
     log_min: float
     log_max: float
@@ -78,10 +78,14 @@ def resolve_log_floor(luminance: np.ndarray, log_floor: float | None = None) -> 
 
 
 def log_transform(luminance: np.ndarray, log_floor: float) -> LogLuminance:
-    """ln(max(luminance, floor)) per row strip, with cached extrema; keeps the floored raster."""
+    """ln(max(luminance, floor)) per row strip, with cached extrema; keeps the floored raster.
+
+    The log lands in the body of a zero-bordered (H+1, W+1) buffer, which the
+    pipeline prefix-sums in place into its summed-area table.
+    """
     require_positive_finite("log_floor", log_floor)
     floored = np.empty(np.shape(luminance))
-    values = np.empty_like(floored)
+    values = _zero_bordered(*floored.shape)[1:, 1:]
 
     def kernel(a: int, b: int) -> None:
         np.log(np.maximum(luminance[a:b], log_floor, out=floored[a:b]), out=values[a:b])
@@ -196,22 +200,35 @@ def _box_window_sums(table: np.ndarray, window: _Window, out: np.ndarray) -> Non
                     np.add(block, lo[:, x_lo], out=block)
 
 
-def _strip_bin_offsets(hist: IntegralHistogram, row_start: int, row_stop: int) -> np.ndarray:
-    """Offset of each strip pixel's own below-table inside the flat cum_below stack."""
-    table_cells = (hist.height + 1) * (hist.width + 1)
-    return hist.bin_map[row_start:row_stop].astype(np.intp) * table_cells
+def _strip_bin_offsets(
+    hist: IntegralHistogram, row_start: int, row_stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each strip pixel's below-table offset in the flat cum_below stack, and a 0/1 mask.
+
+    Bin 0 has no stored table: its pixels read plane 0, and the mask, 0 on
+    them and 1 elsewhere, zeroes their below-counts.
+    """
+    bins = hist.bin_map[row_start:row_stop]
+    above = bins != 0
+    offsets = (bins - above).astype(np.intp) * ((hist.height + 1) * (hist.width + 1))
+    return offsets, above.astype(hist.cum_below.dtype)
 
 
 def _tone_map_rows(
-    hist: IntegralHistogram, window: _Window, params: TmoParams, bin_offsets: np.ndarray, out: np.ndarray
+    hist: IntegralHistogram,
+    window: _Window,
+    params: TmoParams,
+    strip_bins: tuple[np.ndarray, np.ndarray],
+    out: np.ndarray,
 ) -> None:
     """Display values of a strip at one field size into ``out``.
 
-    ``bin_offsets`` is the strip's ``_strip_bin_offsets``; it does not depend
+    ``strip_bins`` is the strip's ``_strip_bin_offsets``; it does not depend
     on the field size, so a caller running several scales computes it once.
     The integer corners on the zero pad add exactly nothing, so the leading
     ``padded`` rows and columns never gather them.
     """
+    bin_offsets, above = strip_bins
     x, y = window.x, window.y
     x0, y0 = x.padded, y.padded
     flat = hist.cum_below.reshape(-1)
@@ -222,6 +239,7 @@ def _tone_map_rows(
     bottom = bin_offsets[y0:] + (y.lo[y0:] * row_stride)[:, None]
     below[y0:] -= flat[bottom + x.hi]
     below[y0:, x0:] += flat[bottom[:, x0:] + x.lo[x0:]]
+    below *= above  # bin 0 gathered another plane; nothing lies below it
     np.divide(below, window.count, out=out)
     out *= params.display_max - params.display_min
     out += params.display_min
@@ -229,7 +247,7 @@ def _tone_map_rows(
 
 def _global_tone_curve(hist: IntegralHistogram, params: TmoParams) -> np.ndarray:
     """The value ``_tone_map_rows`` gives each bin when every window is the image (scale 0)."""
-    below = hist.cum_below[:, hist.height, hist.width]
+    below = np.concatenate(([0], hist.cum_below[:, hist.height, hist.width]))
     span = params.display_max - params.display_min
     return params.display_min + span * (below / float(hist.height * hist.width))
 

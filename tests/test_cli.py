@@ -136,6 +136,23 @@ class TestSingleMode:
             assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, code",
+        [("--display-min", 0), ("--epsilon", 3), ("--sat", 3), ("--gamma", 3),
+         ("--display-max", 3), ("--log-floor", 3)],
+    )
+    def test_negative_exponent_values_parse(self, flag, code, scene, tmp_path, capsys):
+        # argparse alone reads "-1e-3" as a flag and stops with exit 2
+        out = tmp_path / "o.ppm"
+        assert run("--input", scene, "--output", out, "--scales", "3", flag, "-1e-3") == code
+        err = capsys.readouterr().err
+        if code == 0:
+            joined = tmp_path / "joined.ppm"
+            assert run("--input", scene, "--output", joined, "--scales", "3", f"{flag}=-1e-3") == 0
+            assert out.read_bytes() == joined.read_bytes()
+        else:
+            assert err.startswith("wdrtone: invalid parameters: ")
+
     def test_oversized_scales_exit_3(self, scene, tmp_path, capsys):
         code = run("--input", scene, "--output", tmp_path / "o.ppm", "--scales", "9")
         assert code == 3
@@ -311,6 +328,13 @@ class TestEntryPoint:
     def test_help_exits_0(self):
         done = self.run_module("--help")
         assert done.returncode == 0 and "--input" in done.stdout
+
+    def test_negative_exponent_value_parses(self, scene, tmp_path):
+        out = tmp_path / "o.ppm"
+        argv = ("--scales", "3", "--display-min", "-1e-3")
+        done = self.run_module("--input", scene, "--output", out, *argv)
+        assert done.returncode == 0, done.stderr
+        assert out.exists()
 
     def test_missing_input_exits_2(self, tmp_path):
         done = self.run_module("--input", tmp_path / "nope.hdr", "--output", tmp_path / "o.ppm")

@@ -156,8 +156,16 @@ class TestBinning:
         ])
         reference = np.clip(np.searchsorted(edges, values, "right") - 1, 0, bins - 1)
         fast = integral.bin_index_map(values, edges)
-        assert fast.dtype == np.int32
+        assert fast.dtype == np.uint8
         assert fast.tolist() == reference.tolist()
+
+    @pytest.mark.parametrize("bins, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_map_has_the_smallest_type_for_the_top_bin(self, bins, dtype):
+        edges = np.arange(bins + 1, dtype=np.float64)
+        values = np.array([[-1.0, 0.5, bins - 0.5, bins + 1.0]])
+        bmap = integral.bin_index_map(values, edges)
+        assert bmap.dtype == dtype
+        assert bmap.tolist() == [[0, 0, bins - 1, bins - 1]]
 
     def test_matches_oracle_rule(self):
         rng = np.random.default_rng(31)
@@ -221,11 +229,11 @@ class TestIntegralHistogram:
         values = rng.normal(0, 1, (5, 8))
         hist, edges = self.build(values, 4)
         bmap = integral.bin_index_map(values, edges)
-        assert hist.cum_below.shape == (4, 6, 9)
-        assert not hist.cum_below[0].any()
-        for k in range(4):
+        assert np.array_equal(hist.bin_map, bmap)
+        assert hist.cum_below.shape == (3, 6, 9)  # no plane for k = 0, which is all zero
+        for k in range(1, 4):
             expected = integral.build_integral_image((bmap < k).astype(float))
-            assert np.array_equal(hist.cum_below[k], expected.table)
+            assert np.array_equal(hist.cum_below[k - 1], expected.table)
 
     @pytest.mark.parametrize("x, y", [(0, 0), (4, 0), (0, 2), (4, 2)])
     def test_two_bins_single_pixel_at_each_corner(self, x, y):

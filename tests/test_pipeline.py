@@ -1,6 +1,7 @@
 """Pipeline orchestration: determinism, single-build property, degeneracy,
 thread independence, timing capture, stage composition."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,41 @@ class TestToneMapImage:
                 tracemalloc.stop()
             assert peak_mib <= limit_mib, f"{run.__name__}: {peak_mib:.2f} MiB"
 
+    @pytest.mark.parametrize("bins", [2, 5, 16])
+    def test_peak_memory_matches_the_estimate(self, bins):
+        # the pipeline module docstring's estimate, with threads=1
+        height, width = 541, 769
+        img = cli.synthetic_wdr(height, width)
+        estimate = (
+            (4 * (bins - 1) + 16) * (height + 1) * (width + 1)
+            + 12 * height * width
+            + 128 * min(parallel.STRIP_ROWS, height) * width
+        )
+        tracemalloc.start()
+        try:
+            tone_map_image(img, TmoParams(bins=bins), threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * estimate <= peak <= estimate, peak / estimate
+
+    def test_more_than_256_bins_keep_their_bits(self):
+        # a uint16 bin map; the sha256s are those of the int32 map with plane 0 stored
+        img = cli.synthetic_wdr(40, 56, 3)
+        params = TmoParams(bins=300, scales=3)
+        luminance = tmo.rgb_to_luminance(img)
+        log_lum = tmo.log_transform(luminance, tmo.resolve_log_floor(luminance))
+        bmap = integral.bin_index_map(log_lum.values, tmo.compute_bin_edges(log_lum, 300)[0])
+        assert bmap.dtype == np.uint16 and bmap.max() > 255
+        ldr, _ = tone_map_image(img, params)
+        arr, _ = tone_map_to_array(img, params)
+        assert hashlib.sha256(ldr.pixels.tobytes()).hexdigest() == (
+            "73abad5b771545f3a8bda2348a243ea3b963d0efcf788d86b6b96b7103a46096"
+        )
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == (
+            "2797d45e93f5836b83ce08fc10e1d65696eabaf874de3f5519ff7215c65fbff4"
+        )
+
     def test_too_small_image_rejected(self):
         with pytest.raises(ParameterError, match="collapse below a 2x2 field on a 5x1 image"):
             tone_map_image(HdrImage(np.ones((1, 5, 3))), TmoParams())
@@ -179,27 +215,49 @@ class TestToneMapImage:
         assert (diffs >= -1e-12).all()
 
 
+def record_integrations(monkeypatch) -> list:
+    """Patch integral._integrate to keep a copy of every table it returns."""
+    tables = []
+    real = integral._integrate
+
+    def recorder(table):
+        result = real(table)
+        tables.append((id(table), result.table.copy()))
+        return result
+
+    monkeypatch.setattr(integral, "_integrate", recorder)
+    return tables
+
+
 class TestSingleBuildProperty:
     @pytest.mark.parametrize("scales", [1, 3, 5])
     def test_integral_structures_built_once(self, monkeypatch, scales):
-        calls = {"hist": 0, "image": 0}
+        calls = []
         real_hist = integral.build_integral_histogram
-        real_image = integral.build_integral_image
 
         def hist_counter(*args, **kwargs):
-            calls["hist"] += 1
+            calls.append(args)
             return real_hist(*args, **kwargs)
 
-        def image_counter(*args, **kwargs):
-            calls["image"] += 1
-            return real_image(*args, **kwargs)
-
         monkeypatch.setattr(integral, "build_integral_histogram", hist_counter)
-        monkeypatch.setattr(integral, "build_integral_image", image_counter)
+        tables = record_integrations(monkeypatch)
         img = random_wdr(6, 32, 32)
         tone_map_image(img, TmoParams(scales=scales))
-        assert calls["hist"] == 1
-        assert calls["image"] == 2  # luminance table and its square
+        assert len(calls) == 1
+        # the luminance table and its square, each integrated exactly once
+        assert len(tables) == 2
+        assert len({table_id for table_id, _ in tables}) == 2
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_in_place_tables_equal_build_integral_image(self, monkeypatch, threads):
+        img = random_wdr(12, 130, 70)
+        luminance = tmo.rgb_to_luminance(img)
+        log = tmo.log_transform(luminance, tmo.resolve_log_floor(luminance)).values
+        expected = [integral.build_integral_image(v).table for v in (log, log * log)]
+        tables = record_integrations(monkeypatch)
+        tone_map_image(img, TmoParams(bins=5, scales=3), threads=threads)
+        # the two integrations may finish in either order on several threads
+        assert sorted(t.tobytes() for _, t in tables) == sorted(t.tobytes() for t in expected)
 
 
 class TestStageFunctionsComposeToPipeline:

@@ -264,7 +264,9 @@ class TestStripKernel:
         y, x = np.mgrid[0:height, 0:width]
         x0, x1 = np.maximum(x - extent.half_width, 0), np.minimum(x + extent.half_width + 1, width)
         y0, y1 = np.maximum(y - extent.half_height, 0), np.minimum(y + extent.half_height + 1, height)
-        c, b = hist.cum_below, hist.bin_map
+        # the stored planes start at bin 1; bin 0's below-table is all zero
+        c = np.concatenate([np.zeros_like(hist.cum_below[:1]), hist.cum_below])
+        b = hist.bin_map
         below = c[b, y1, x1] - c[b, y0, x1] - c[b, y1, x0] + c[b, y0, x0]
         span = params.display_max - params.display_min
         return params.display_min + span * (below / ((y1 - y0) * (x1 - x0)))
@@ -275,17 +277,21 @@ class TestStripKernel:
     def test_pruned_gathers_equal_four_corner_formula(self, height, width):
         rng = np.random.default_rng(height * 16 + width)
         log_lum, hist = hist_for(rng.normal(0, 1, (height, width)), 4)
-        params = TmoParams(bins=4, display_min=-0.25, display_max=1.5)
         scales = min(height, width).bit_length() - 1
-        for extent in tmo.make_scale_schedule(width, height, scales):
-            expected = self.four_corner_display(hist, extent, params)
-            for a in range(height):
-                for b in range(a + 1, height + 1):
-                    offsets = tmo._strip_bin_offsets(hist, a, b)
-                    window = tmo._window(a, b, width, height, extent)
-                    out = np.full((b - a, width), np.nan)
-                    tmo._tone_map_rows(hist, window, params, offsets, out)
-                    assert out.tobytes() == expected[a:b].tobytes(), (extent, a, b)
+        # a -0.0 minimum: bin 0 must still get the formula's +0.0
+        for params in (
+            TmoParams(bins=4, display_min=-0.25, display_max=1.5),
+            TmoParams(bins=4, display_min=-0.0),
+        ):
+            for extent in tmo.make_scale_schedule(width, height, scales):
+                expected = self.four_corner_display(hist, extent, params)
+                for a in range(height):
+                    for b in range(a + 1, height + 1):
+                        strip_bins = tmo._strip_bin_offsets(hist, a, b)
+                        window = tmo._window(a, b, width, height, extent)
+                        out = np.full((b - a, width), np.nan)
+                        tmo._tone_map_rows(hist, window, params, strip_bins, out)
+                        assert out.tobytes() == expected[a:b].tobytes(), (params, extent, a, b)
 
     @pytest.mark.parametrize(
         "params",

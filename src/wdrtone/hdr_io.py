@@ -386,17 +386,20 @@ def write_pfm(image: HdrImage) -> bytes:
 # ---------------------------------------------------------------------------
 
 def _encode_rows(rgb: np.ndarray, gamma: float, out: np.ndarray) -> None:
-    """Encode a strip of [0, 1] floats into a uint8 strip; the range is the caller's to check."""
-    work = np.power(rgb, 1.0 / gamma)
-    np.multiply(work, 255.0, out=work)
-    np.rint(work, out=work)
-    out[...] = work
+    """Encode a strip of [0, 1] floats into a uint8 strip; the range is the caller's to check.
+
+    ``rgb`` is scratch: the encode works in it and leaves it overwritten.
+    """
+    np.power(rgb, 1.0 / gamma, out=rgb)
+    np.multiply(rgb, 255.0, out=rgb)
+    np.rint(rgb, out=rgb)
+    out[...] = rgb
 
 
 def quantize_ldr(rgb: np.ndarray, gamma: float) -> LdrImage:
     """Quantize a [0, 1] float raster to 8 bits: round(255 * v**(1/gamma)).
 
-    Encodes one row strip at a time; the caller's raster is never written.
+    Encodes a copy of one row strip at a time; the caller's raster is never written.
     """
     require_positive_finite("gamma", gamma)
     rgb = np.asarray(rgb, dtype=np.float64)
@@ -407,7 +410,7 @@ def quantize_ldr(rgb: np.ndarray, gamma: float) -> LdrImage:
         raise ParameterError("display values must lie in [0, 1]; clamp before encoding")
     encoded = np.empty(rgb.shape, np.uint8)
     SERIAL.run_rows(
-        lambda a, b: _encode_rows(rgb[a:b], gamma, encoded[a:b]), rgb.shape[0]
+        lambda a, b: _encode_rows(rgb[a:b].copy(), gamma, encoded[a:b]), rgb.shape[0]
     )
     encoded.flags.writeable = False  # fresh array, skip the defensive copy
     return LdrImage(encoded)

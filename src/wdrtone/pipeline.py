@@ -8,15 +8,23 @@ display raster is kept; neither strip height nor worker count changes the
 output bits.
 
 The log raster is written into the body of the sums table and prefix-summed
-there in place, as is its square in the squares table. At one thread, with
-``tone_map_image``, the peak traced memory is then close to and at most
+there in place, as is its square in the squares table. The colour restore
+recomputes each strip's floored luminance from the pixels, and the gamma
+encode works in the strip's display buffer, so no full-frame luminance or
+float display raster is kept. With ``tone_map_image`` on ``workers``
+threads, the peak traced memory is then close to and at most
 
-    (4 * (bins - 1) + 16) * (H + 1) * (W + 1) + 12 * H * W
-    + 128 * min(STRIP_ROWS, H) * W  bytes:
+    (4 * (bins - 1) + 16) * (H + 1) * (W + 1) + 4 * H * W
+    + 96 * min(STRIP_ROWS, H) * W * min(workers, strips)  bytes:
 
-the int32 histogram planes and the two float64 tables; the floored luminance,
-the bin map (one byte per pixel up to 256 bins) and the uint8 result; and 16
-float64 rasters per strip.
+the int32 histogram planes and the two float64 tables; the bin map (one
+byte per pixel up to 256 bins) and the uint8 result; and, for each strip
+in flight, 96 bytes per strip pixel (measured: 92-94). That covers the
+three fusion sums, one scale's values and weights, the bin offsets and
+mask and the window counts, plus either the tone map's gather temporaries
+or the colour restore's luminance and display strips. ``tone_map_to_array``
+returns a float64 raster, 21 bytes per pixel more. Every call checks this
+estimate against ``MAX_PEAK_BYTES`` before any pixel work.
 """
 
 from __future__ import annotations
@@ -29,10 +37,17 @@ from typing import Iterator
 
 import numpy as np
 
-from . import integral, tmo
+from . import integral, parallel, tmo
+from .errors import ParameterError
 from .hdr_io import HdrImage, LdrImage, _encode_rows
 from .parallel import WorkerPool
 from .params import TmoParams
+
+# Largest peak-memory estimate a call may start with: a MAX_RADIANCE_PIXELS
+# frame (8192x8192) at the default params estimates 2.30 GiB for
+# tone_map_image and 3.61 GiB for tone_map_to_array on one worker, so both fit.
+MAX_PEAK_BYTES = 4 << 30
+_STRIP_PIXEL_BYTES = 96  # the module docstring's per-strip term
 
 
 @dataclass
@@ -83,6 +98,15 @@ def _timed(timings: StageTimings, field: str) -> Iterator[None]:
     setattr(timings, field, getattr(timings, field) + (time.perf_counter() - mark) * 1e3)
 
 
+def _peak_bytes(height: int, width: int, bins: int, workers: int, encode: bool) -> int:
+    """The module docstring's peak memory estimate of one call, in bytes."""
+    strip_rows = parallel.STRIP_ROWS
+    tables = (4 * (bins - 1) + 16) * (height + 1) * (width + 1)
+    rasters = (np.min_scalar_type(bins - 1).itemsize + (3 if encode else 24)) * height * width
+    strips = min(workers, -(-height // strip_rows))
+    return tables + rasters + _STRIP_PIXEL_BYTES * min(strip_rows, height) * width * strips
+
+
 def _tone_map(
     image: HdrImage, params: TmoParams | None, threads: int, encode: bool
 ) -> tuple[np.ndarray | LdrImage, StageTimings]:
@@ -92,6 +116,13 @@ def _tone_map(
     schedule = tmo.make_scale_schedule(width, height, params.scales)
     timings = StageTimings()
     with _timed(timings, "total_ms"), WorkerPool(threads) as pool:
+        peak = _peak_bytes(height, width, params.bins, pool.workers, encode)
+        if peak > MAX_PEAK_BYTES:
+            raise ParameterError(
+                f"a {width}x{height} image at {params.bins} bins on {pool.workers} workers "
+                f"needs an estimated {peak / 2**30:.2f} GiB, over the "
+                f"{MAX_PEAK_BYTES / 2**30:g} GiB budget"
+            )
         with _timed(timings, "luminance_ms"):
             luminance = tmo.rgb_to_luminance(image)
 
@@ -120,7 +151,6 @@ def _tone_map(
                 )
             curve = tmo._global_tone_curve(hist, params)
             global_weight = tmo._global_weight(sums, squares, params.epsilon)
-        floored = log_lum.floored
         del log_lum  # the strips read the tables, never the log raster
 
         # tone_map_to_array returns the display raster; tone_map_image keeps
@@ -164,8 +194,13 @@ def _tone_map(
                 fused = tmo.finalize_fusion(numerator, weight_sum, value_sum, len(schedule))
             lap("fusion_ms")
 
+            # the floored luminance, recomputed per strip so no full-frame copy is kept
+            pixels = image.pixels[rows]
+            luminance_in = np.empty(shape)
+            tmo._luminance_rows(pixels, luminance_in)
+            np.maximum(luminance_in, floor, out=luminance_in)
             display = np.empty((*shape, 3)) if encode else result[rows]
-            tmo._restore_rows(image.pixels[rows], floored[rows], fused, params.saturation, display)
+            tmo._restore_rows(pixels, luminance_in, fused, params.saturation, display)
             # display_max is positive and finite, so this lands in [0, 1] as _encode_rows needs
             np.clip(display, 0.0, params.display_max, out=display)
             display /= params.display_max

@@ -41,8 +41,7 @@ from .params import (
 class LogLuminance:
     """Log-domain luminance raster with cached extrema."""
 
-    values: np.ndarray  # (H, W) float64 ln(floored), the body [1:, 1:] of zero-bordered values.base
-    floored: np.ndarray  # (H, W) linear luminance clamped at the log floor
+    values: np.ndarray  # (H, W) float64 ln(max(L, floor)), the body [1:, 1:] of zero-bordered values.base
     log_min: float
     log_max: float
 
@@ -54,19 +53,20 @@ class FieldExtent(NamedTuple):
     half_height: int
 
 
+def _luminance_rows(pixels: np.ndarray, out: np.ndarray) -> None:
+    """BT.709 luma of a (rows, W, 3) strip into ``out``; the one op order every caller shares."""
+    np.multiply(pixels[:, :, 0], LUMA_RED, out=out)
+    scratch = pixels[:, :, 1] * LUMA_GREEN
+    out += scratch
+    np.multiply(pixels[:, :, 2], LUMA_BLUE, out=scratch)
+    out += scratch
+
+
 def rgb_to_luminance(image: HdrImage) -> np.ndarray:
     """BT.709 luma: 0.2126 R + 0.7152 G + 0.0722 B, one row strip at a time."""
     px = image.pixels
     luma = np.empty(px.shape[:2])
-
-    def kernel(a: int, b: int) -> None:
-        out = np.multiply(px[a:b, :, 0], LUMA_RED, out=luma[a:b])
-        scratch = px[a:b, :, 1] * LUMA_GREEN
-        out += scratch
-        np.multiply(px[a:b, :, 2], LUMA_BLUE, out=scratch)
-        out += scratch
-
-    SERIAL.run_rows(kernel, len(px))
+    SERIAL.run_rows(lambda a, b: _luminance_rows(px[a:b], luma[a:b]), len(px))
     return luma
 
 
@@ -78,20 +78,21 @@ def resolve_log_floor(luminance: np.ndarray, log_floor: float | None = None) -> 
 
 
 def log_transform(luminance: np.ndarray, log_floor: float) -> LogLuminance:
-    """ln(max(luminance, floor)) per row strip, with cached extrema; keeps the floored raster.
+    """ln(max(luminance, floor)) per row strip, with cached extrema.
 
-    The log lands in the body of a zero-bordered (H+1, W+1) buffer, which the
-    pipeline prefix-sums in place into its summed-area table.
+    The clamp and the log land in place in the body of a zero-bordered
+    (H+1, W+1) buffer, which the pipeline prefix-sums in place into its
+    summed-area table.
     """
     require_positive_finite("log_floor", log_floor)
-    floored = np.empty(np.shape(luminance))
-    values = _zero_bordered(*floored.shape)[1:, 1:]
+    values = _zero_bordered(*np.shape(luminance))[1:, 1:]
 
     def kernel(a: int, b: int) -> None:
-        np.log(np.maximum(luminance[a:b], log_floor, out=floored[a:b]), out=values[a:b])
+        body = values[a:b]
+        np.log(np.maximum(luminance[a:b], log_floor, out=body), out=body)
 
-    SERIAL.run_rows(kernel, len(floored))
-    return LogLuminance(values, floored, float(values.min()), float(values.max()))
+    SERIAL.run_rows(kernel, len(values))
+    return LogLuminance(values, float(values.min()), float(values.max()))
 
 
 def compute_bin_edges(log_lum: LogLuminance, bins: int) -> tuple[np.ndarray, bool]:

@@ -160,6 +160,14 @@ class TestSingleMode:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "at most 4 are admissible" in err
 
+    def test_over_budget_call_exits_3(self, scene, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(wdrtone.pipeline, "MAX_PEAK_BYTES", 1 << 10)
+        out = tmp_path / "o.ppm"
+        assert run("--input", scene, "--output", out, "--scales", "3") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("wdrtone: invalid parameters: ") and "GiB budget" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "data, argv, code, message",
         [

@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from wdrtone import hdr_io
+from wdrtone import hdr_io, parallel
 from wdrtone.errors import HdrFormatError, ParameterError
 
 
@@ -468,6 +468,17 @@ class TestLdrOutput:
             rgb[-2, 500, 1] = bad
             with pytest.raises(ParameterError, match="display values must lie in"):
                 hdr_io.quantize_ldr(rgb, gamma=2.2)
+
+    def test_caller_raster_is_left_unchanged(self, monkeypatch):
+        # three workers over six strips, each encoding its rows in a scratch buffer
+        monkeypatch.setattr(parallel, "STRIP_ROWS", 7)
+        rgb = np.random.default_rng(3).random((40, 30, 3))
+        before = rgb.tobytes()
+        with parallel.WorkerPool(3) as pool:
+            monkeypatch.setattr(hdr_io, "SERIAL", pool)
+            ldr = hdr_io.quantize_ldr(rgb, gamma=2.2)
+        assert rgb.tobytes() == before
+        assert np.array_equal(ldr.pixels, np.rint(255.0 * rgb ** (1 / 2.2)).astype(np.uint8))
 
     def test_empty_raster_encodes(self):
         assert hdr_io.quantize_ldr(np.zeros((0, 4, 3)), 2.2).pixels.shape == (0, 4, 3)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wdrtone import cli, integral, oracle, parallel, tmo
+from wdrtone import cli, integral, oracle, parallel, pipeline, tmo
 from wdrtone.errors import ParameterError
 from wdrtone.hdr_io import HdrImage, quantize_ldr
 from wdrtone.params import TmoParams
@@ -106,21 +106,36 @@ class TestToneMapImage:
 
     @pytest.mark.parametrize("bins", [2, 5, 16])
     def test_peak_memory_matches_the_estimate(self, bins):
-        # the pipeline module docstring's estimate, with threads=1
+        # the pipeline module docstring's estimate, with the strip term once per worker
         height, width = 541, 769
         img = cli.synthetic_wdr(height, width)
-        estimate = (
-            (4 * (bins - 1) + 16) * (height + 1) * (width + 1)
-            + 12 * height * width
-            + 128 * min(parallel.STRIP_ROWS, height) * width
-        )
-        tracemalloc.start()
-        try:
-            tone_map_image(img, TmoParams(bins=bins), threads=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.9 * estimate <= peak <= estimate, peak / estimate
+        for threads in (1, 2, 3):
+            estimate = (
+                (4 * (bins - 1) + 16) * (height + 1) * (width + 1)
+                + 4 * height * width
+                + 96 * min(parallel.STRIP_ROWS, height) * width * threads
+            )
+            assert estimate == pipeline._peak_bytes(height, width, bins, threads, encode=True)
+            tracemalloc.start()
+            try:
+                tone_map_image(img, TmoParams(bins=bins), threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0.9 * estimate <= peak <= estimate, (threads, peak / estimate)
+
+    def test_over_budget_call_raises_before_pixel_work(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_PEAK_BYTES", 1 << 20)
+        img = cli.synthetic_wdr(541, 769)
+        for run in (tone_map_image, tone_map_to_array):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParameterError, match="over the 0.000976562 GiB budget"):
+                    run(img, threads=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, peak
 
     def test_more_than_256_bins_keep_their_bits(self):
         # a uint16 bin map; the sha256s are those of the int32 map with plane 0 stored

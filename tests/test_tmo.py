@@ -13,7 +13,7 @@ from wdrtone.tmo import FieldExtent
 
 def log_lum_from(values):
     values = np.asarray(values, dtype=np.float64)
-    return tmo.LogLuminance(values, np.exp(values), float(values.min()), float(values.max()))
+    return tmo.LogLuminance(values, float(values.min()), float(values.max()))
 
 
 def hist_for(values, bins):
@@ -90,7 +90,7 @@ class TestBinEdges:
         # the edges round onto each other, so bin_index_map would reject them
         log_min = 690.7755278982137
         log_max = np.nextafter(log_min, np.inf)
-        ll = tmo.LogLuminance(np.zeros((2, 2)), np.ones((2, 2)), log_min, log_max)
+        ll = tmo.LogLuminance(np.zeros((2, 2)), log_min, log_max)
         edges, degenerate = tmo.compute_bin_edges(ll, 5)
         assert degenerate
         assert not (np.diff(edges) > 0).all()

@@ -123,13 +123,16 @@ def region_sum(image: IntegralImage, region: Region):
     return raw.item()
 
 
-def bin_index_map(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Assign each value to a half-open bin [edge_k, edge_k+1).
+def bin_index_map(
+    values: np.ndarray, edges: np.ndarray, pool: WorkerPool | None = None
+) -> np.ndarray:
+    """Assign each value to a half-open bin [edge_k, edge_k+1), in row strips on ``pool``.
 
     Values exactly on an interior edge go to the upper bin; the top bin is
     closed above so the edges partition the full range. Out-of-range values
     clip into the end bins. The map has the smallest unsigned type that holds
-    the top bin: uint8 up to 256 bins.
+    the top bin: uint8 up to 256 bins. Integer counts are exact, so the
+    strips and the worker count never change the map.
     """
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or len(edges) < 3:
@@ -145,7 +148,7 @@ def bin_index_map(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
         for edge in edges[1:-1]:
             idx[a:b] += ~(values[a:b] < edge)
 
-    SERIAL.run_rows(kernel, len(idx))
+    (pool or SERIAL).run_rows(kernel, len(idx))
     return idx
 
 
@@ -175,7 +178,7 @@ def build_integral_histogram(
     """
     values = _as_raster(values)
     height, width = values.shape
-    bmap = bin_index_map(values, edges)
+    bmap = bin_index_map(values, edges, pool)
     bins = len(edges) - 1
     dtype = np.int32 if values.size < 2**30 else np.int64
     cum = np.zeros((bins - 1, height + 1, width + 1), dtype)

@@ -5,7 +5,8 @@ The integral histogram and both summed-area tables are built exactly once per
 call; only the per-scale window queries repeat. Everything after those builds
 runs as one kernel per row strip on a worker pool, so no full-frame fusion or
 display raster is kept; neither strip height nor worker count changes the
-output bits.
+output bits. On frames of ``_POOLED_FRONT_PIXELS`` and more, luminance, log
+and the integral histogram run their strips and planes on the same pool.
 
 The log raster is written into the body of the sums table and prefix-summed
 there in place, as is its square in the squares table. The colour restore
@@ -48,6 +49,11 @@ from .params import TmoParams
 # tone_map_image and 3.61 GiB for tone_map_to_array on one worker, so both fit.
 MAX_PEAK_BYTES = 4 << 30
 _STRIP_PIXEL_BYTES = 96  # the module docstring's per-strip term
+# Smaller frames run the front half (luminance, log, integral histogram) on
+# the calling thread. Timed in-process at auto on 2 vCPUs, the pool's
+# hand-offs there cost more than splitting the stages saves: 120x160 and
+# 240x320 calls were slower pooled, 360x480 level, 480x640 level to faster.
+_POOLED_FRONT_PIXELS = 1 << 18
 
 
 @dataclass
@@ -123,18 +129,19 @@ def _tone_map(
                 f"needs an estimated {peak / 2**30:.2f} GiB, over the "
                 f"{MAX_PEAK_BYTES / 2**30:g} GiB budget"
             )
+        front = pool if height * width >= _POOLED_FRONT_PIXELS else None
         with _timed(timings, "luminance_ms"):
-            luminance = tmo.rgb_to_luminance(image)
+            luminance = tmo.rgb_to_luminance(image, front)
 
         with _timed(timings, "log_edges_ms"):
             floor = tmo.resolve_log_floor(luminance, params.log_floor)
-            log_lum = tmo.log_transform(luminance, floor)
+            log_lum = tmo.log_transform(luminance, floor, front)
             del luminance
             edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
 
         if not degenerate:
             with _timed(timings, "integral_histogram_ms"):
-                hist = integral.build_integral_histogram(log_lum.values, edges, pool)
+                hist = integral.build_integral_histogram(log_lum.values, edges, front)
 
             with _timed(timings, "integral_images_ms"):
                 # the log raster is the sums table's body: square it into the

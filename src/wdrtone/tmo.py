@@ -62,11 +62,15 @@ def _luminance_rows(pixels: np.ndarray, out: np.ndarray) -> None:
     out += scratch
 
 
-def rgb_to_luminance(image: HdrImage) -> np.ndarray:
-    """BT.709 luma: 0.2126 R + 0.7152 G + 0.0722 B, one row strip at a time."""
+def rgb_to_luminance(image: HdrImage, pool: WorkerPool | None = None) -> np.ndarray:
+    """BT.709 luma: 0.2126 R + 0.7152 G + 0.0722 B, in row strips on ``pool``.
+
+    Each pixel's sum runs in one fixed order, so the strips and the worker
+    count never change a bit.
+    """
     px = image.pixels
     luma = np.empty(px.shape[:2])
-    SERIAL.run_rows(lambda a, b: _luminance_rows(px[a:b], luma[a:b]), len(px))
+    (pool or SERIAL).run_rows(lambda a, b: _luminance_rows(px[a:b], luma[a:b]), len(px))
     return luma
 
 
@@ -77,22 +81,27 @@ def resolve_log_floor(luminance: np.ndarray, log_floor: float | None = None) -> 
     return max(ABSOLUTE_LOG_FLOOR, RELATIVE_LOG_FLOOR * float(luminance.max()))
 
 
-def log_transform(luminance: np.ndarray, log_floor: float) -> LogLuminance:
-    """ln(max(luminance, floor)) per row strip, with cached extrema.
+def log_transform(
+    luminance: np.ndarray, log_floor: float, pool: WorkerPool | None = None
+) -> LogLuminance:
+    """ln(max(luminance, floor)) in row strips on ``pool``, with cached extrema.
 
     The clamp and the log land in place in the body of a zero-bordered
     (H+1, W+1) buffer, which the pipeline prefix-sums in place into its
-    summed-area table.
+    summed-area table. Each strip takes its own extrema while its rows are
+    fresh; the extrema of those are exactly the raster's.
     """
     require_positive_finite("log_floor", log_floor)
     values = _zero_bordered(*np.shape(luminance))[1:, 1:]
 
-    def kernel(a: int, b: int) -> None:
+    def kernel(a: int, b: int) -> tuple[float, float]:
         body = values[a:b]
         np.log(np.maximum(luminance[a:b], log_floor, out=body), out=body)
+        return body.min(), body.max()
 
-    SERIAL.run_rows(kernel, len(values))
-    return LogLuminance(values, float(values.min()), float(values.max()))
+    # an empty raster reduces over no strips, which raises as values.min() would
+    lows, highs = np.array((pool or SERIAL).run_rows(kernel, len(values))).reshape(-1, 2).T
+    return LogLuminance(values, float(lows.min()), float(highs.max()))
 
 
 def compute_bin_edges(log_lum: LogLuminance, bins: int) -> tuple[np.ndarray, bool]:

@@ -91,6 +91,25 @@ class TestToneMapImage:
                 assert np.array_equal(ldr.pixels, reference[0]), (strip_rows, threads)
                 assert arr.tobytes() == reference[1].tobytes(), (strip_rows, threads)
 
+    def test_front_half_placement_does_not_change_bits(self, monkeypatch):
+        # a frame this small runs its front half on the calling thread unless
+        # the threshold is lowered; both placements must give the same bits
+        img = random_wdr(11, 130, 70)
+        params = TmoParams(bins=5, scales=3)
+        reference = tone_map_to_array(img, params, threads=1)[0].tobytes()
+        pools = []
+        luminance = tmo.rgb_to_luminance
+        monkeypatch.setattr(
+            tmo, "rgb_to_luminance", lambda image, pool=None: pools.append(pool) or luminance(image, pool)
+        )
+        for front_pixels in (0, 130 * 70 + 1):
+            monkeypatch.setattr(pipeline, "_POOLED_FRONT_PIXELS", front_pixels)
+            for strip_rows in (3, 64):
+                monkeypatch.setattr(parallel, "STRIP_ROWS", strip_rows)
+                pools.clear()
+                assert tone_map_to_array(img, params, threads=3)[0].tobytes() == reference
+                assert (pools[0] is not None) == (front_pixels == 0), (front_pixels, strip_rows)
+
     def test_peak_traced_memory(self):
         # the full-frame fusion and display rasters stay out of the strip pass
         img = cli.synthetic_wdr(541, 769)

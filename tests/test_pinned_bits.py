@@ -1,9 +1,15 @@
 """Full sha256s of both outputs, pinned so that a change to any stage's
 arithmetic or op order shows up as a changed hash.
 
+The corpus covers an odd shape, bins 2, 16 and 300, scales 1, 3 and 5, a
+negative display minimum, gamma 1 and decoded RLE ``.hdr`` and PFM input,
+each at threads 1 and 3 and at strip heights 1 and 64: one pair of hashes
+per case holds for all four.
+
 Recorded with numpy 2.4.6 and Python 3.11.7 on x86_64 (a 2-vCPU Intel Xeon
-VM). Another numpy build may round a transcendental differently; if these
-fail with every other test passing, check that before suspecting the code.
+VM). Another numpy build may round a transcendental (``log``, ``power``)
+differently; if these fail with every other test passing, check that before
+suspecting the code.
 """
 
 import hashlib
@@ -11,8 +17,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from wdrtone import cli
-from wdrtone.hdr_io import HdrImage
+from wdrtone import cli, parallel
+from wdrtone.hdr_io import HdrImage, read_pfm, read_radiance_hdr, write_pfm, write_radiance_hdr
 from wdrtone.params import TmoParams
 from wdrtone.pipeline import tone_map_image, tone_map_to_array
 
@@ -52,3 +58,65 @@ def test_explicit_floor_over_black_pixels(threads):
     assert sha256(tone_map_to_array(img, params, threads=threads)[0]) == (
         "1599a6e80979964ea584b1aabb5d259829cad92b5999906a313e197c34c69490"
     )
+
+
+def odd_scene() -> HdrImage:
+    """37x53: no strip height but 1 divides it, and it admits five scales."""
+    return cli.synthetic_wdr(37, 53, 3)
+
+
+# name: (input, params, (tone_map_image sha256, tone_map_to_array sha256))
+CORPUS = {
+    "bins2-scales1": (
+        odd_scene,
+        TmoParams(bins=2, scales=1),
+        (
+            "2cbf1228ffa4ba513aa614dc295e7d4e10e7d54f329481f4268b39533fc6a0c6",
+            "e55595fe793a4cba24d17c7c619d94a025280d6e5dfcf025044397802ed01cc8",
+        ),
+    ),
+    "bins16-scales3-negative-min": (
+        odd_scene,
+        TmoParams(bins=16, scales=3, display_min=-0.25),
+        (
+            "a22767e7514225c958af72db3314e471f1a56f3b9b0e44b6ae1abaa1a150ac74",
+            "f7bebd64072dcd77d02fa7908cd14bb8d3fe99503f1c05bf0bb8c860aa97ed97",
+        ),
+    ),
+    "bins300-scales5-gamma1": (
+        odd_scene,
+        TmoParams(bins=300, scales=5, gamma=1.0),
+        (
+            "fc22a398ed61002c10409b5d4615d9ab8a9c7d07206ce41e5362260e96e48dbf",
+            "672ccf0d3017aff1c403e54c100b2c80cb113a68986c9bb6c9d7c4fd445d5ea7",
+        ),
+    ),
+    "rle-hdr": (
+        # 29 columns lie inside the RLE width range, so every scanline is RLE
+        lambda: read_radiance_hdr(write_radiance_hdr(cli.synthetic_wdr(41, 29, 5))),
+        TmoParams(bins=7, scales=4),
+        (
+            "343f629fccaaef5bc64fcc1be1e40fe6ec6e7a29a0c7cfe7a75678ffffaf08d7",
+            "d6a96fd2efd8e4b09c72384eac6e99af3a6a3d7adc017978137bd5c91f329185",
+        ),
+    ),
+    "pfm": (
+        lambda: read_pfm(write_pfm(cli.synthetic_wdr(23, 31, 6))),
+        TmoParams(scales=4, saturation=0.9, epsilon=0.02),
+        (
+            "bf3b1cd2b5164829aa91609073b2ff36681dbd5bc0f4c0070126804821cf766c",
+            "da4a5e46b0a7297779b0d085785692082c371c525094dca3cbc676ccfa37f3f5",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("strip_rows", [1, 64])
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("case", list(CORPUS))
+def test_corpus(monkeypatch, case, threads, strip_rows):
+    monkeypatch.setattr(parallel, "STRIP_ROWS", strip_rows)
+    scene, params, (ldr_hash, array_hash) = CORPUS[case]
+    img = scene()
+    assert sha256(tone_map_image(img, params, threads=threads)[0].pixels) == ldr_hash
+    assert sha256(tone_map_to_array(img, params, threads=threads)[0]) == array_hash

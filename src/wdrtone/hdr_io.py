@@ -47,7 +47,8 @@ class _Raster:
     pixels: np.ndarray
 
     def _freeze(self, arr: np.ndarray) -> None:
-        if arr is self.pixels and arr.flags.writeable:
+        # adopt only read-only memory the array owns: a view's base may still be written
+        if arr is self.pixels and (arr.flags.writeable or not arr.flags.owndata):
             arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "pixels", arr)

@@ -110,6 +110,22 @@ def build_integral_image(values: np.ndarray) -> IntegralImage:
     return _integrate(table)
 
 
+def build_moment_tables(
+    body: np.ndarray, pool: WorkerPool | None = None
+) -> tuple[IntegralImage, IntegralImage]:
+    """``build_integral_image`` of a raster and of its square, the first built in place.
+
+    ``body`` is the body ``[1:, 1:]`` of a zero-bordered table, as ``tmo.log_transform``
+    writes the log. The square's strips and the two integrations run on ``pool``.
+    """
+    squared = _zero_bordered(*body.shape)
+    pool = pool or SERIAL
+    pool.run_rows(
+        lambda a, b: np.multiply(body[a:b], body[a:b], out=squared[1 + a : 1 + b, 1:]), len(body)
+    )
+    return tuple(pool.run_tasks(partial(_integrate, t) for t in (body.base, squared)))
+
+
 def region_sum(image: IntegralImage, region: Region):
     """Four-corner rectangle sum."""
     _check_bounds(region, image.width, image.height)

@@ -22,20 +22,13 @@ from .errors import ParameterError
 STRIP_ROWS = 64
 
 
-def resolve_threads(threads: int) -> int:
-    """Map the user-facing thread knob (0 = auto) to a concrete count."""
-    if threads < 0:
-        raise ParameterError(f"threads must be >= 0, got {threads}")
-    if threads == 0:
-        return os.cpu_count() or 1
-    return threads
-
-
 class WorkerPool:
-    """Runs row-strip kernels and independent tasks on a fixed thread count."""
+    """Runs row-strip kernels and independent tasks on a fixed thread count (0: one per CPU)."""
 
     def __init__(self, threads: int = 0):
-        self.workers = resolve_threads(threads)
+        if threads < 0:
+            raise ParameterError(f"threads must be >= 0, got {threads}")
+        self.workers = threads or os.cpu_count() or 1
         self._executor = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
 
     def run_rows(self, kernel: Callable[[int, int], Any], height: int) -> list:

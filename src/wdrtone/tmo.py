@@ -13,13 +13,14 @@ window statistics use the clamped pixel count.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .hdr_io import HdrImage
+from .hdr_io import HdrImage, _encode_rows
 from .integral import IntegralHistogram, IntegralImage, Region, _zero_bordered, region_variance
 from .parallel import SERIAL, WorkerPool
 from .params import (
@@ -87,9 +88,9 @@ def log_transform(
     """ln(max(luminance, floor)) in row strips on ``pool``, with cached extrema.
 
     The clamp and the log land in place in the body of a zero-bordered
-    (H+1, W+1) buffer, which the pipeline prefix-sums in place into its
-    summed-area table. Each strip takes its own extrema while its rows are
-    fresh; the extrema of those are exactly the raster's.
+    (H+1, W+1) buffer, which ``integral.build_moment_tables`` prefix-sums in
+    place into its summed-area table. Each strip takes its own extrema while
+    its rows are fresh; the extrema of those are exactly the raster's.
     """
     require_positive_finite("log_floor", log_floor)
     values = _zero_bordered(*np.shape(luminance))[1:, 1:]
@@ -417,17 +418,13 @@ def restore_color(
     saturation: float,
     pool: WorkerPool | None = None,
 ) -> np.ndarray:
-    """Rebuild RGB around the tone mapped luminance: (C/L_in)**sat * L_out."""
+    """Rebuild RGB around the tone mapped luminance: (C/L_in)**sat * L_out, for L_in > 0."""
     require_saturation(saturation)
     px = image.pixels
     if luminance_in.shape != px.shape[:2] or luminance_out.shape != px.shape[:2]:
         raise ParameterError("luminance rasters must match the image size")
-    # pixels with no positive L_in get 0**sat * L_out: divide them by 1, then
-    # overwrite them (0 * L_out keeps the sign of L_out, and NaN for inf or NaN)
-    dark = ~(luminance_in > 0)
-    any_dark = bool(dark.any())
-    if any_dark:
-        luminance_in = np.where(dark, 1.0, luminance_in)
+    if not (luminance_in > 0).all():  # NaN fails too
+        raise ParameterError("luminance_in must be positive; floor it first")
     result = np.empty_like(px)
     (pool or SERIAL).run_rows(
         lambda a, b: _restore_rows(
@@ -435,6 +432,73 @@ def restore_color(
         ),
         px.shape[0],
     )
-    if any_dark:
-        result[dark] = 0.0 * luminance_out[dark][:, None]
     return result
+
+
+def render_rows(
+    image: HdrImage,
+    params: TmoParams,
+    floor: float,
+    tables: tuple[IntegralHistogram, IntegralImage, IntegralImage] | None,
+    row_start: int,
+    row_stop: int,
+    out: np.ndarray,
+) -> dict[str, float]:
+    """Every stage after the integral builds, over rows [row_start, row_stop) of ``out``.
+
+    ``tables`` is (integral histogram, sums, squares) of the log taken at
+    ``floor``, or None for a mid-gray strip when the log range is unusable. A
+    float64 ``out`` receives the [0, 1] display values, a uint8 one their gamma
+    encode. Returns the seconds spent, keyed by ``StageTimings`` field, plus ``encode``.
+    """
+    rows = slice(row_start, row_stop)
+    shape = (row_stop - row_start, image.width)
+    spent = dict.fromkeys(("tone_map_ms", "weights_ms", "fusion_ms", "color_restore_ms", "encode"), 0.0)
+    marks = [time.perf_counter()]
+
+    def lap(stage: str) -> None:
+        marks.append(time.perf_counter())
+        spent[stage] += marks[-1] - marks[-2]
+
+    if tables is None:
+        fused = np.full(shape, (params.display_min + params.display_max) / 2.0)
+    else:
+        hist, sums, squares = tables
+        schedule = make_scale_schedule(image.width, image.height, params.scales)
+        global_weight = _global_weight(sums, squares, params.epsilon)
+        numerator, weight_sum, value_sum = np.empty((3, *shape))
+        # scale 0 spans the image: one curve and one weight seed the fusion sums
+        np.take(_global_tone_curve(hist, params), hist.bin_map[rows], out=value_sum)
+        weight_sum.fill(global_weight)
+        np.multiply(value_sum, global_weight, out=numerator)
+        lap("tone_map_ms")
+        offsets = _strip_bin_offsets(hist, row_start, row_stop)
+        values, weights = np.empty((2, *shape))
+        for extent in schedule[1:]:
+            window = _window(row_start, row_stop, image.width, image.height, extent)
+            _tone_map_rows(hist, window, params, offsets, values)
+            lap("tone_map_ms")
+            _weight_rows(sums, squares, window, params.epsilon, weights)
+            lap("weights_ms")
+            # weights are rewritten next scale, so the accumulator may clobber them
+            _accumulate_rows(numerator, weight_sum, value_sum, values, weights)
+            lap("fusion_ms")
+        fused = finalize_fusion(numerator, weight_sum, value_sum, len(schedule))
+    lap("fusion_ms")
+
+    # the floored luminance, recomputed per strip so no full-frame copy is kept
+    pixels = image.pixels[rows]
+    luminance_in = np.empty(shape)
+    _luminance_rows(pixels, luminance_in)
+    np.maximum(luminance_in, floor, out=luminance_in)
+    encode = out.dtype == np.uint8
+    display = np.empty((*shape, 3)) if encode else out[rows]
+    _restore_rows(pixels, luminance_in, fused, params.saturation, display)
+    # display_max is positive and finite, so this lands in [0, 1] as _encode_rows needs
+    np.clip(display, 0.0, params.display_max, out=display)
+    display /= params.display_max
+    lap("color_restore_ms")
+    if encode:
+        _encode_rows(display, params.gamma, out[rows])
+        lap("encode")
+    return spent

@@ -151,6 +151,25 @@ class TestBenchmarkContract:
         assert callable(StageTimings.as_dict)
 
 
+def test_pipeline_names_no_private_name_of_another_module():
+    # the pipeline orchestrates: the kernels and table layouts it runs are
+    # reached through their modules' public functions
+    tree = ast.parse((Path(wdrtone.__file__).parent / "pipeline.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    modules = {alias.asname or alias.name for node in imports if node.module is None for alias in node.names}
+    private = [alias.name for node in imports for alias in node.names if alias.name.startswith("_")]
+    private += [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    assert {"integral", "tmo"} <= modules
+    assert private == []
+
+
 class TestErrorModel:
     """One exception class per kind of fault; a new class or kind changes this test."""
 

@@ -574,6 +574,21 @@ class TestImageTypes:
         assert source.flags.writeable and not image.pixels.flags.writeable
         assert (image.width, image.height) == (3, 2)
 
+    @pytest.mark.parametrize(
+        "cls, dtype, poke", [(hdr_io.HdrImage, np.float64, -1.0), (hdr_io.LdrImage, np.uint8, 0)]
+    )
+    def test_read_only_view_of_writeable_memory_is_copied(self, cls, dtype, poke):
+        source = np.ones((8, 8, 3), dtype)
+        view = source.view()
+        view.flags.writeable = False
+        image = cls(view)
+        source[0, 0, 0] = poke  # past the checks, had the view been adopted
+        assert image.pixels.min() == 1
+        # a read-only array that owns its memory is adopted as it is
+        owned = np.ones((8, 8, 3), dtype)
+        owned.flags.writeable = False
+        assert cls(owned).pixels is owned
+
     def test_load_hdr_file_sniffs_content(self, tmp_path):
         img = hdr_from_values(np.full((2, 2, 3), 0.5))
         as_hdr = tmp_path / "scene.weird"

@@ -286,8 +286,12 @@ class TestSingleBuildProperty:
     def test_in_place_tables_equal_build_integral_image(self, monkeypatch, threads):
         img = random_wdr(12, 130, 70)
         luminance = tmo.rgb_to_luminance(img)
-        log = tmo.log_transform(luminance, tmo.resolve_log_floor(luminance)).values
+        floor = tmo.resolve_log_floor(luminance)
+        log = tmo.log_transform(luminance, floor).values
         expected = [integral.build_integral_image(v).table for v in (log, log * log)]
+        with parallel.WorkerPool(threads) as pool:
+            built = integral.build_moment_tables(tmo.log_transform(luminance, floor).values, pool)
+        assert [t.table.tobytes() for t in built] == [t.tobytes() for t in expected]
         tables = record_integrations(monkeypatch)
         tone_map_image(img, TmoParams(bins=5, scales=3), threads=threads)
         # the two integrations may finish in either order on several threads
@@ -343,6 +347,49 @@ class TestStageFunctionsComposeToPipeline:
     )
     def test_rebuilt_pipeline_matches_across_scales_and_display_ranges(self, params):
         self.assert_rebuild_matches(random_wdr(11, 40, 48), params, threads=2)
+
+
+def render_inputs(img, params):
+    """The log floor and the tables the pipeline hands ``tmo.render_rows``."""
+    luminance = tmo.rgb_to_luminance(img)
+    floor = tmo.resolve_log_floor(luminance, params.log_floor)
+    log_lum = tmo.log_transform(luminance, floor)
+    edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
+    assert not degenerate
+    hist = integral.build_integral_histogram(log_lum.values, edges)
+    return floor, (hist, *integral.build_moment_tables(log_lum.values))
+
+
+class TestRenderRows:
+    @pytest.mark.parametrize("strip_rows", [1, 64])
+    @pytest.mark.parametrize("run", [tone_map_to_array, tone_map_image])
+    def test_each_strip_matches_the_whole_call(self, monkeypatch, run, strip_rows):
+        monkeypatch.setattr(parallel, "STRIP_ROWS", strip_rows)
+        img = random_wdr(9, 37, 53)
+        params = TmoParams(bins=5, scales=3)
+        whole = run(img, params, threads=2)[0]
+        whole = getattr(whole, "pixels", whole)
+        floor, tables = render_inputs(img, params)
+        for a in range(0, img.height, strip_rows):
+            b = min(a + strip_rows, img.height)
+            out = np.zeros_like(whole)
+            spent = tmo.render_rows(img, params, floor, tables, a, b, out)
+            assert out[a:b].tobytes() == whole[a:b].tobytes(), a
+            assert not out[:a].any() and not out[b:].any(), a
+            assert set(spent) == {"tone_map_ms", "weights_ms", "fusion_ms", "color_restore_ms", "encode"}
+            assert (spent["encode"] > 0) == (out.dtype == np.uint8)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_a_strip_without_tables_is_mid_gray(self, dtype):
+        # a textured gray scene: without tables its texture never reaches the output
+        gray = np.exp(np.random.default_rng(3).normal(0, 2, (6, 10)))
+        img = HdrImage(np.repeat(gray[..., None], 3, axis=2))
+        params = TmoParams(display_min=0.2, display_max=0.8, gamma=1.0)
+        out = np.zeros((6, 10, 3), dtype)
+        tmo.render_rows(img, params, 1e-12, None, 2, 5, out)
+        # mid-gray 0.5 over display_max 0.8, encoded as round(255 * 0.625) = 159
+        assert out[2:5] == pytest.approx(np.full((3, 10, 3), 0.625 if dtype is np.float64 else 159))
+        assert not out[:2].any() and not out[5:].any()
 
 
 class TestExposureInvariance:

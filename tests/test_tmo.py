@@ -426,30 +426,25 @@ class TestRestoreColor:
         assert restored[0, 0] == pytest.approx([0.2, 0.4, 0.8])
 
     def test_black_stays_black(self):
+        # the pipeline passes the luminance floored at the log floor
         img = HdrImage(np.zeros((1, 1, 3)))
-        restored = tmo.restore_color(img, np.zeros((1, 1)), np.full((1, 1), 0.5), 0.6)
-        assert restored[0, 0] == pytest.approx([0.0, 0.0, 0.0])
+        restored = tmo.restore_color(img, np.full((1, 1), 1e-12), np.full((1, 1), 0.5), 0.6)
+        assert (restored == 0.0).all() and not np.signbit(restored).any()
 
-    def test_dark_pixels_zeroed_among_lit_ones(self):
+    def test_dark_pixels_among_lit_ones_raise(self):
         rng = np.random.default_rng(12)
         pixels = rng.random((5, 4, 3)) + 0.1
-        lum = pixels.mean(axis=2)
-        lum[1, 2], lum[3, 0], lum[4, 3] = 0.0, -1.0, np.nan
-        out_lum = rng.random((5, 4))
-        restored = tmo.restore_color(HdrImage(pixels), lum, out_lum, 0.6)
-        lit = lum > 0
-        expected = (pixels[lit] / lum[lit][:, None]) ** 0.6 * out_lum[lit][:, None]
-        assert np.array_equal(restored[lit], expected)
-        assert (restored[~lit] == 0.0).all()
+        for dark in (0.0, -1.0, np.nan):
+            lum = pixels.mean(axis=2)
+            lum[3, 1] = dark
+            with pytest.raises(ParameterError, match="luminance_in must be positive"):
+                tmo.restore_color(HdrImage(pixels), lum, rng.random((5, 4)), 0.6)
 
-    def test_dark_pixels_get_zero_times_luminance_out(self):
+    def test_zero_luminance_in_raises_before_any_arithmetic(self):
         img = HdrImage(np.ones((1, 3, 3)))
         out_lum = np.array([[-2.0, np.inf, 0.5]])
-        with np.errstate(invalid="ignore"):  # 0 * inf
-            restored = tmo.restore_color(img, np.zeros((1, 3)), out_lum, 0.6)
-        assert np.signbit(restored[0, 0]).all() and (restored[0, 0] == 0.0).all()
-        assert np.isnan(restored[0, 1]).all()
-        assert not np.signbit(restored[0, 2]).any() and (restored[0, 2] == 0.0).all()
+        with np.errstate(all="raise"), pytest.raises(ParameterError, match="floor it first"):
+            tmo.restore_color(img, np.zeros((1, 3)), out_lum, 0.6)
 
     def test_shape_mismatch_raises(self):
         img = HdrImage(np.ones((2, 2, 3)))

@@ -16,8 +16,8 @@ from .errors import ParameterError
 
 # Rows per strip handed to a row kernel. One float64 raster of a 64x1920 strip
 # is 0.94 MiB, inside a 2 MiB L2, so the front half's one-raster strips stay in
-# cache; the tone map's strip kernel holds about 93 bytes per strip pixel
-# (10.9 MiB at 64x1920), so its temporaries do not. Measured on a 2-vCPU Xeon,
+# cache; the tone map's strip kernel holds about 59 bytes per strip pixel
+# (6.9 MiB at 64x1920), so its temporaries do not. Measured on a 2-vCPU Xeon,
 # 32-row strips ran 1080p about 3% faster but 480x640 5.6% slower.
 STRIP_ROWS = 64
 

@@ -14,16 +14,19 @@ prefix-sums both in place. With ``tone_map_image`` on ``workers`` threads,
 the peak traced memory is then close to and at most
 
     (4 * (bins - 1) + 16) * (H + 1) * (W + 1) + 4 * H * W
-    + 96 * min(STRIP_ROWS, H) * W * min(workers, strips)  bytes:
+    + 64 * min(STRIP_ROWS, H) * W * min(workers, strips)  bytes:
 
 the int32 histogram planes and the two float64 tables; the bin map (one
 byte per pixel up to 256 bins) and the uint8 result; and, for each strip
-in flight, 96 bytes per strip pixel (measured: 92-94). That covers the
-three fusion sums, one scale's values and weights, the bin offsets and
-mask and the window counts, plus either the tone map's gather temporaries
-or the colour restore's luminance and display strips. ``tone_map_to_array``
-returns a float64 raster, 21 bytes per pixel more. Every call checks this
-estimate against ``MAX_PEAK_BYTES`` before any pixel work.
+in flight, 64 bytes per strip pixel (measured: 59 at 1920 columns, 61-62
+at 769). Through the scale loop a strip holds 41 of them: the numerator
+and weight sums, one scale's values and window counts, and each pixel's
+gather index and bin-0 mask. On top come either the tone map's two int32
+corner rasters and one run's gather index, or the weights and second
+moments. The colour restore's fused, luminance and display strips (40
+bytes) start once those are freed. ``tone_map_to_array`` returns a float64
+raster, 21 bytes per pixel more. Every call checks this estimate against
+``MAX_PEAK_BYTES`` before any pixel work.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ from .hdr_io import HdrImage, LdrImage
 from .params import TmoParams
 
 # Largest peak-memory estimate a call may start with: a MAX_RADIANCE_PIXELS
-# frame (8192x8192) at the default params estimates 2.30 GiB for
-# tone_map_image and 3.61 GiB for tone_map_to_array on one worker, so both fit.
+# frame (8192x8192) at the default params estimates 2.28 GiB for
+# tone_map_image and 3.59 GiB for tone_map_to_array on one worker, so both fit.
 MAX_PEAK_BYTES = 4 << 30
-_STRIP_PIXEL_BYTES = 96  # the module docstring's per-strip term
+_STRIP_PIXEL_BYTES = 64  # the module docstring's per-strip term
 # Smaller frames run the front half (luminance, log, integral histogram) on
 # the calling thread. Timed in-process at auto on 2 vCPUs, the pool's
 # hand-offs there cost more than splitting the stages saves: 120x160 and

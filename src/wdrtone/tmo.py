@@ -171,7 +171,9 @@ def _window(row_start: int, row_stop: int, width: int, height: int, extent: Fiel
 
     x = axis(0, width, extent.half_width, width)
     y = axis(row_start, row_stop, extent.half_height, height)
-    return _Window(x, y, ((y.hi - y.lo)[:, None] * (x.hi - x.lo)[None, :]).astype(np.float64))
+    # float64 holds every pixel count exactly, so the float product is the integer one
+    count = np.multiply.outer((y.hi - y.lo).astype(np.float64), (x.hi - x.lo).astype(np.float64))
+    return _Window(x, y, count)
 
 
 def _runs(axis: _Axis):
@@ -211,46 +213,97 @@ def _box_window_sums(table: np.ndarray, window: _Window, out: np.ndarray) -> Non
                     np.add(block, lo[:, x_lo], out=block)
 
 
-def _strip_bin_offsets(
-    hist: IntegralHistogram, row_start: int, row_stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each strip pixel's below-table offset in the flat cum_below stack, and a 0/1 mask.
+class _StripIndex(NamedTuple):
+    """Where a row strip's pixels sit in the flat ``cum_below`` stack; no field size enters."""
 
-    Bin 0 has no stored table: its pixels read plane 0, and the mask, 0 on
-    them and 1 elsewhere, zeroes their below-counts.
-    """
+    own: np.ndarray  # intp: each pixel's own (strip row, column) in its below-plane
+    above: np.ndarray  # bool: False on bin 0, which reads plane 0 and has nothing below
+
+
+def _strip_index(hist: IntegralHistogram, row_start: int, row_stop: int) -> _StripIndex:
+    """The strip's ``_StripIndex``; a caller running several scales computes it once."""
     bins = hist.bin_map[row_start:row_stop]
     above = bins != 0
-    offsets = (bins - above).astype(np.intp) * ((hist.height + 1) * (hist.width + 1))
-    return offsets, above.astype(hist.cum_below.dtype)
+    own = (bins - above).astype(np.intp)
+    own *= (hist.height + 1) * (hist.width + 1)
+    own += (np.arange(row_stop - row_start) * (hist.width + 1))[:, None]
+    own += np.arange(hist.width)
+    return _StripIndex(own, above)
+
+
+def _corner_runs(axis: _Axis, low: bool):
+    """(run, shift, pinned) for each run of one window end along an axis.
+
+    The end at a run's first position a lies ``shift`` past a. On a sliding
+    run that holds at every position; on a ``pinned`` run the end stays put,
+    one position less past each next one. Runs on the zero pad are left out.
+    """
+    ends = axis.lo if low else axis.hi
+    cuts = (axis.padded, len(ends)) if low else (0, axis.pinned, len(ends))
+    for a, b in zip(cuts, cuts[1:]):
+        if a < b:
+            yield slice(a, b), int(ends[a]) - a, not low and a >= axis.pinned
+
+
+def _gather_corner(
+    flat: np.ndarray, index: _StripIndex, window: _Window, low_y: bool, low_x: bool, out: np.ndarray
+) -> list[tuple[slice, slice]]:
+    """Gather one window corner's table entries of a strip into ``out``; return the blocks filled.
+
+    ``flat`` is the flattened stack of (H+1, W+1) tables. Each run is one
+    ``np.take`` of the pixels' own indices from a view of ``flat`` shifted to
+    the corner. A sliding run over half the row or more takes whole rows,
+    whose index is contiguous: its clipped reads outside the run are
+    overwritten by the pinned run or left out of the blocks returned. A
+    shorter one copies its index rather than gather twice its entries. Only
+    pinned runs and negative shifts build an index, over their run alone.
+    """
+    width = index.own.shape[1]
+    row_stride = width + 1
+    x_runs = list(_corner_runs(window.x, low_x))
+    blocks = []
+    for rows, dy, pinned_y in _corner_runs(window.y, low_y) if x_runs else ():
+        for cols, dx, pinned_x in x_runs:
+            if not pinned_x and 2 * (cols.stop - cols.start) >= width:
+                cols = slice(None)
+            idx, shift = index.own[rows, cols], dy * row_stride + dx
+            if pinned_y or pinned_x or shift < 0:
+                # a fresh index for this run alone: a negative shift and each
+                # position's distance to a pinned end are added to it
+                row_terms = np.full(rows.stop - rows.start, min(shift, 0))
+                if pinned_y:
+                    row_terms -= np.arange(len(row_terms)) * row_stride
+                idx = idx + row_terms[:, None]
+                if pinned_x:
+                    idx -= np.arange(cols.stop - cols.start)
+                shift = max(shift, 0)
+            np.take(flat[shift:], idx, out=out[rows, cols], mode="clip")
+        blocks.append((rows, slice(x_runs[0][0].start, None)))
+    return blocks
 
 
 def _tone_map_rows(
     hist: IntegralHistogram,
     window: _Window,
     params: TmoParams,
-    strip_bins: tuple[np.ndarray, np.ndarray],
+    index: _StripIndex,
     out: np.ndarray,
 ) -> None:
     """Display values of a strip at one field size into ``out``.
 
-    ``strip_bins`` is the strip's ``_strip_bin_offsets``; it does not depend
-    on the field size, so a caller running several scales computes it once.
-    The integer corners on the zero pad add exactly nothing, so the leading
-    ``padded`` rows and columns never gather them.
+    ``index`` is the strip's ``_strip_index``. The integer corners on the
+    zero pad add exactly nothing, so the leading ``padded`` rows and columns
+    never gather them.
     """
-    bin_offsets, above = strip_bins
-    x, y = window.x, window.y
-    x0, y0 = x.padded, y.padded
     flat = hist.cum_below.reshape(-1)
-    row_stride = hist.width + 1
-    top = bin_offsets + (y.hi * row_stride)[:, None]
-    below = flat[top + x.hi]
-    below[:, x0:] -= flat[top[:, x0:] + x.lo[x0:]]
-    bottom = bin_offsets[y0:] + (y.lo[y0:] * row_stride)[:, None]
-    below[y0:] -= flat[bottom + x.hi]
-    below[y0:, x0:] += flat[bottom[:, x0:] + x.lo[x0:]]
-    below *= above  # bin 0 gathered another plane; nothing lies below it
+    below = np.empty(out.shape, hist.cum_below.dtype)
+    _gather_corner(flat, index, window, False, False, below)
+    corner = np.empty_like(below)
+    for low_y, low_x, combine in ((False, True, np.subtract), (True, False, np.subtract), (True, True, np.add)):
+        for rows, cols in _gather_corner(flat, index, window, low_y, low_x, corner):
+            block = below[rows, cols]
+            combine(block, corner[rows, cols], out=block)
+    below *= index.above  # bin 0 gathered another plane; nothing lies below it
     np.divide(below, window.count, out=out)
     out *= params.display_max - params.display_min
     out += params.display_min
@@ -286,7 +339,7 @@ def tone_map_at_scale(
 
     def kernel(a: int, b: int) -> None:
         window = _window(a, b, width, height, extent)
-        _tone_map_rows(hist, window, params, _strip_bin_offsets(hist, a, b), result[a:b])
+        _tone_map_rows(hist, window, params, _strip_index(hist, a, b), result[a:b])
 
     (pool or SERIAL).run_rows(kernel, height)
     return result
@@ -340,17 +393,19 @@ def weight_map_at_scale(
 def _accumulate_rows(
     numerator: np.ndarray,
     weight_sum: np.ndarray,
-    value_sum: np.ndarray,
+    value_sum: np.ndarray | None,
     values: np.ndarray,
     weights: np.ndarray,
 ) -> None:
     """Add one scale's values and weights into the running fusion sums of a strip.
 
-    ``weights`` is overwritten with ``weights * values``: the product needs no
-    buffer of its own. Callers that still need the weights pass a copy.
+    ``value_sum`` is None where ``finalize_fusion`` cannot fall back.
+    ``weights`` is overwritten with ``weights * values``: the product needs
+    no buffer of its own. Callers that still need the weights pass a copy.
     """
     weight_sum += weights
-    value_sum += values
+    if value_sum is not None:
+        value_sum += values
     weights *= values
     numerator += weights
 
@@ -358,13 +413,16 @@ def _accumulate_rows(
 def finalize_fusion(
     numerator: np.ndarray,
     weight_sum: np.ndarray,
-    value_sum: np.ndarray,
+    value_sum: np.ndarray | None,
     scale_count: int,
 ) -> np.ndarray:
     """Weighted mean, falling back to the plain mean where all weights vanish.
 
-    Written in place into ``numerator``, which is returned.
+    Written in place into ``numerator``, which is returned. A ``value_sum`` of
+    None states that no weight sum lies below ``FUSION_WEIGHT_FLOOR``.
     """
+    if value_sum is None:
+        return np.divide(numerator, weight_sum, out=numerator)
     degenerate = weight_sum < FUSION_WEIGHT_FLOOR
     np.divide(numerator, weight_sum, out=numerator, where=~degenerate)
     np.divide(value_sum, scale_count, out=numerator, where=degenerate)
@@ -466,24 +524,32 @@ def render_rows(
         hist, sums, squares = tables
         schedule = make_scale_schedule(image.width, image.height, params.scales)
         global_weight = _global_weight(sums, squares, params.epsilon)
-        numerator, weight_sum, value_sum = np.empty((3, *shape))
         # scale 0 spans the image: one curve and one weight seed the fusion sums
-        np.take(_global_tone_curve(hist, params), hist.bin_map[rows], out=value_sum)
-        weight_sum.fill(global_weight)
-        np.multiply(value_sum, global_weight, out=numerator)
+        numerator = np.take(_global_tone_curve(hist, params), hist.bin_map[rows])
+        # every later scale only adds non-negative weights to this seed, so only
+        # a seed below the floor can leave a pixel for the plain-mean fallback
+        value_sum = numerator.copy() if global_weight < FUSION_WEIGHT_FLOOR else None
+        numerator *= global_weight
+        weight_sum = np.full(shape, global_weight)
         lap("tone_map_ms")
-        offsets = _strip_bin_offsets(hist, row_start, row_stop)
-        values, weights = np.empty((2, *shape))
+        index = _strip_index(hist, row_start, row_stop)
+        values = np.empty(shape)
         for extent in schedule[1:]:
             window = _window(row_start, row_stop, image.width, image.height, extent)
-            _tone_map_rows(hist, window, params, offsets, values)
+            _tone_map_rows(hist, window, params, index, values)
             lap("tone_map_ms")
+            # allocated after the tone map, so its gathers' peak does not hold it
+            weights = np.empty(shape)
             _weight_rows(sums, squares, window, params.epsilon, weights)
+            del window
             lap("weights_ms")
-            # weights are rewritten next scale, so the accumulator may clobber them
+            # the accumulator may clobber the weights: they die with this scale
             _accumulate_rows(numerator, weight_sum, value_sum, values, weights)
+            del weights
             lap("fusion_ms")
+        del index, values
         fused = finalize_fusion(numerator, weight_sum, value_sum, len(schedule))
+        del weight_sum, value_sum
     lap("fusion_ms")
 
     # the floored luminance, recomputed per strip so no full-frame copy is kept

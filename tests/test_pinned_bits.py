@@ -1,10 +1,12 @@
 """Full sha256s of both outputs, pinned so that a change to any stage's
 arithmetic or op order shows up as a changed hash.
 
-The corpus covers an odd shape, bins 2, 16 and 300, scales 1, 3 and 5, a
-negative display minimum, gamma 1 and decoded RLE ``.hdr`` and PFM input,
-each at threads 1 and 3 and at strip heights 1 and 64: one pair of hashes
-per case holds for all four.
+The corpus covers two odd shapes (one tall and narrow, so that at the top
+scales every column sits in a clamped run), bins 2, 16 and 300, scales 1, 3
+and 5, a negative and a -0.0 display minimum, saturation near 0, gamma 1, a
+two-level frame whose fusion falls back to the plain mean, and decoded RLE
+``.hdr`` and PFM input, each at threads 1 and 3 and at strip heights 1 and
+64: one pair of hashes per case holds for all four.
 
 Recorded with numpy 2.4.6 and Python 3.11.7 on x86_64 (a 2-vCPU Intel Xeon
 VM). Another numpy build may round a transcendental (``log``, ``power``)
@@ -65,6 +67,17 @@ def odd_scene() -> HdrImage:
     return cli.synthetic_wdr(37, 53, 3)
 
 
+def two_level_scene() -> HdrImage:
+    """40x48 ones with every third row's even columns 1e-9 brighter.
+
+    The bin edges are usable, but every window variance is so small that
+    the fused weights stay under the fusion floor: the plain mean is output.
+    """
+    pixels = np.ones((40, 48, 3))
+    pixels[::3, ::2] *= 1 + 1e-9
+    return HdrImage(pixels)
+
+
 # name: (input, params, (tone_map_image sha256, tone_map_to_array sha256))
 CORPUS = {
     "bins2-scales1": (
@@ -89,6 +102,38 @@ CORPUS = {
         (
             "fc22a398ed61002c10409b5d4615d9ab8a9c7d07206ce41e5362260e96e48dbf",
             "672ccf0d3017aff1c403e54c100b2c80cb113a68986c9bb6c9d7c4fd445d5ea7",
+        ),
+    ),
+    "tall-narrow-scales4": (
+        lambda: cli.synthetic_wdr(131, 19, 4),
+        TmoParams(scales=4),
+        (
+            "907edf75b9628e07b0225b9f892f106eb4489b0ee52a757bc4d2a5e45cf7c140",
+            "b2f99a476bb40f671834c22d1fbf3ad339865b4891a12f0e8f69d14c59c06051",
+        ),
+    ),
+    "bins5-scales3-negative-zero-min": (
+        odd_scene,
+        TmoParams(bins=5, scales=3, display_min=-0.0),
+        (
+            "fe6c2a53d6e47455bea5eb4b8b41e006b5381805c4510c5e98462244eb5d1658",
+            "1d2564cb6dc56d29f24b21ee5cdc09295aab4d46347d5c455d7d9343d54bcb6c",
+        ),
+    ),
+    "saturation-near-zero": (
+        odd_scene,
+        TmoParams(scales=3, saturation=1e-3),
+        (
+            "34033a2abcb3d8d51c24dffecbfdd0281590c0222fc6c7f4182d98617979855c",
+            "079e084be29f06b515f23bb99017ffa429895d9504d84cea1af1f4ab81610a7b",
+        ),
+    ),
+    "two-level-fallback": (
+        two_level_scene,
+        TmoParams(scales=4),
+        (
+            "f1c50237d772205176923b560755a020a2ca43e9f98b24660d583b80fa9466ca",
+            "cebe9c4714af500105ed01380ce0b30f44872350982bbae81f4ca27f13f554bc",
         ),
     ),
     "rle-hdr": (

@@ -10,7 +10,7 @@ import pytest
 from wdrtone import cli, integral, oracle, parallel, pipeline, tmo
 from wdrtone.errors import ParameterError
 from wdrtone.hdr_io import HdrImage, quantize_ldr
-from wdrtone.params import TmoParams
+from wdrtone.params import FUSION_WEIGHT_FLOOR, TmoParams
 from wdrtone.pipeline import StageTimings, tone_map_image, tone_map_to_array
 
 
@@ -52,6 +52,30 @@ class TestToneMapImage:
         for threads in (1, 2):
             ldr, _ = tone_map_image(img, threads=threads)
             assert np.array_equal(ldr.pixels, expected)
+
+    @pytest.mark.parametrize("strip_rows", [1, 3, 64])
+    def test_plain_mean_fallback_matches_the_oracle(self, monkeypatch, strip_rows):
+        # usable bin edges, but window variances near 1e-19: the scale-0
+        # weight (1.4e-18) and every pixel's weight sum stay under the floor
+        px = np.ones((40, 48, 3))
+        px[::3, ::2] *= 1 + 1e-9
+        img = HdrImage(px)
+        params = TmoParams(scales=4)
+        monkeypatch.setattr(parallel, "STRIP_ROWS", strip_rows)
+        fell_back = []
+        finalize = tmo.finalize_fusion
+
+        def recording(numerator, weight_sum, value_sum, scale_count):
+            fell_back.append((weight_sum < FUSION_WEIGHT_FLOOR).all())
+            return finalize(numerator, weight_sum, value_sum, scale_count)
+
+        monkeypatch.setattr(tmo, "finalize_fusion", recording)
+        expected = oracle.naive_tone_map(img, params).pixels
+        expected_array = oracle.naive_tone_map_array(img, params)
+        for threads in (1, 3):
+            assert np.array_equal(tone_map_image(img, params, threads=threads)[0].pixels, expected)
+            assert np.array_equal(tone_map_to_array(img, params, threads=threads)[0], expected_array)
+        assert fell_back and all(fell_back)
 
     def test_output_range_and_dtype(self):
         img = random_wdr(1, 20, 24)
@@ -132,7 +156,7 @@ class TestToneMapImage:
             estimate = (
                 (4 * (bins - 1) + 16) * (height + 1) * (width + 1)
                 + 4 * height * width
-                + 96 * min(parallel.STRIP_ROWS, height) * width * threads
+                + 64 * min(parallel.STRIP_ROWS, height) * width * threads
             )
             assert estimate == pipeline._peak_bytes(height, width, bins, threads, encode=True)
             tracemalloc.start()

@@ -275,22 +275,25 @@ class TestStripKernel:
     # bottom edge, at every extent of the deepest admissible schedule
     @pytest.mark.parametrize("height,width", [(2, 2), (2, 5), (5, 2), (4, 7), (8, 8), (9, 13), (13, 9)])
     def test_pruned_gathers_equal_four_corner_formula(self, height, width):
-        rng = np.random.default_rng(height * 16 + width)
-        log_lum, hist = hist_for(rng.normal(0, 1, (height, width)), 4)
+        values = np.random.default_rng(height * 16 + width).normal(0, 1, (height, width))
         scales = min(height, width).bit_length() - 1
-        # a -0.0 minimum: bin 0 must still get the formula's +0.0
+        # bins=2: every pixel reads plane 0 or is masked as bin 0; a -0.0
+        # minimum: bin 0 must still get the formula's +0.0
         for params in (
             TmoParams(bins=4, display_min=-0.25, display_max=1.5),
             TmoParams(bins=4, display_min=-0.0),
+            TmoParams(bins=2, display_min=-0.25, display_max=1.5),
+            TmoParams(bins=2, display_min=-0.0),
         ):
+            log_lum, hist = hist_for(values, params.bins)
             for extent in tmo.make_scale_schedule(width, height, scales):
                 expected = self.four_corner_display(hist, extent, params)
                 for a in range(height):
                     for b in range(a + 1, height + 1):
-                        strip_bins = tmo._strip_bin_offsets(hist, a, b)
+                        index = tmo._strip_index(hist, a, b)
                         window = tmo._window(a, b, width, height, extent)
                         out = np.full((b - a, width), np.nan)
-                        tmo._tone_map_rows(hist, window, params, strip_bins, out)
+                        tmo._tone_map_rows(hist, window, params, index, out)
                         assert out.tobytes() == expected[a:b].tobytes(), (params, extent, a, b)
 
     @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import HdrFormatError, ParameterError, ToneMapError
 from .hdr_io import HdrImage, LdrImage, load_hdr_file, save_ldr
+from .parallel import POOLED_PIXELS
 from .params import TmoParams
 from .pipeline import StageTimings, tone_map_image
 
@@ -56,7 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-floor", type=float, help="luminance clamp before the log; default scales with the scene"
     )
     parser.set_defaults(**asdict(TmoParams()))  # after add_argument, so --help shows them
-    parser.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=0,
+        help=f"worker threads, 0 = auto: one per CPU, or one below {POOLED_PIXELS:,} pixels",
+    )
     parser.add_argument("--timing", action="store_true", help="print the per-stage timing block")
     parser.add_argument(
         "--sweep",

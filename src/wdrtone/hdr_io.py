@@ -386,7 +386,7 @@ def write_pfm(image: HdrImage) -> bytes:
 # 8-bit display output
 # ---------------------------------------------------------------------------
 
-def _encode_rows(rgb: np.ndarray, gamma: float, out: np.ndarray) -> None:
+def encode_rows(rgb: np.ndarray, gamma: float, out: np.ndarray) -> None:
     """Encode a strip of [0, 1] floats into a uint8 strip; the range is the caller's to check.
 
     ``rgb`` is scratch: the encode works in it and leaves it overwritten.
@@ -411,7 +411,7 @@ def quantize_ldr(rgb: np.ndarray, gamma: float) -> LdrImage:
         raise ParameterError("display values must lie in [0, 1]; clamp before encoding")
     encoded = np.empty(rgb.shape, np.uint8)
     SERIAL.run_rows(
-        lambda a, b: _encode_rows(rgb[a:b].copy(), gamma, encoded[a:b]), rgb.shape[0]
+        lambda a, b: encode_rows(rgb[a:b].copy(), gamma, encoded[a:b]), rgb.shape[0]
     )
     encoded.flags.writeable = False  # fresh array, skip the defensive copy
     return LdrImage(encoded)

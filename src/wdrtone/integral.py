@@ -78,24 +78,26 @@ def _sum_down_columns(plane: np.ndarray) -> None:
         np.add(plane[y - 1], plane[y], out=plane[y])
 
 
-def _zero_bordered(height: int, width: int) -> np.ndarray:
-    """An uninitialised (height+1, width+1) float64 table with a zero top row and left column."""
+def table_body(height: int, width: int) -> np.ndarray:
+    """The uninitialised body ``[1:, 1:]`` of a fresh zero-bordered (height+1, width+1) float64 table.
+
+    A raster written into it is what ``build_moment_tables`` takes.
+    """
     table = np.empty((height + 1, width + 1))
     table[0] = 0.0
     table[:, 0] = 0.0
-    return table
+    return table[1:, 1:]
 
 
-def _integrate(table: np.ndarray) -> IntegralImage:
-    """Prefix-sum the body ``[1:, 1:]`` of a zero-bordered table in place.
+def _integrate(body: np.ndarray) -> IntegralImage:
+    """Prefix-sum a ``table_body`` in place into its table.
 
     Sums run down the columns first, then along the rows; the tables depend
     on that order.
     """
-    body = table[1:, 1:]
     _sum_down_columns(body)
     np.cumsum(body, axis=1, out=body)
-    return IntegralImage(body.shape[1], body.shape[0], table)
+    return IntegralImage(body.shape[1], body.shape[0], body.base)
 
 
 def build_integral_image(values: np.ndarray) -> IntegralImage:
@@ -105,9 +107,9 @@ def build_integral_image(values: np.ndarray) -> IntegralImage:
     single-precision accumulation degrades badly at megapixel scale.
     """
     values = _as_raster(values)
-    table = _zero_bordered(*values.shape)
-    table[1:, 1:] = values
-    return _integrate(table)
+    body = table_body(*values.shape)
+    body[...] = values
+    return _integrate(body)
 
 
 def build_moment_tables(
@@ -115,15 +117,24 @@ def build_moment_tables(
 ) -> tuple[IntegralImage, IntegralImage]:
     """``build_integral_image`` of a raster and of its square, the first built in place.
 
-    ``body`` is the body ``[1:, 1:]`` of a zero-bordered table, as ``tmo.log_transform``
-    writes the log. The square's strips and the two integrations run on ``pool``.
+    ``body`` is a ``table_body``, as ``tmo.log_transform`` writes the log; anything
+    else raises ParameterError. The square's strips and the two integrations run
+    on ``pool``.
     """
-    squared = _zero_bordered(*body.shape)
+    table = getattr(body, "base", None)
+    # the same memory, dtype, shape and strides as the body of its own base
+    if not (
+        isinstance(table, np.ndarray)
+        and table.ndim == 2
+        and table.dtype == np.float64
+        and body.__array_interface__ == table[1:, 1:].__array_interface__
+        and not (table[0].any() or table[:, 0].any())
+    ):
+        raise ParameterError("expected the body [1:, 1:] of a zero-bordered float64 table")
+    squared = table_body(*body.shape)
     pool = pool or SERIAL
-    pool.run_rows(
-        lambda a, b: np.multiply(body[a:b], body[a:b], out=squared[1 + a : 1 + b, 1:]), len(body)
-    )
-    return tuple(pool.run_tasks(partial(_integrate, t) for t in (body.base, squared)))
+    pool.run_rows(lambda a, b: np.multiply(body[a:b], body[a:b], out=squared[a:b]), len(body))
+    return tuple(pool.run_tasks(partial(_integrate, t) for t in (body, squared)))
 
 
 def region_sum(image: IntegralImage, region: Region):

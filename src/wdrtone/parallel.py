@@ -21,13 +21,25 @@ from .errors import ParameterError
 # 32-row strips ran 1080p about 3% faster but 480x640 5.6% slower.
 STRIP_ROWS = 64
 
+# Auto runs a frame of fewer pixels on one worker, since a pool hand-off (a
+# few hundred microseconds) there outweighs splitting a strip stage. Whole
+# calls on 2 workers against 1, alternated in-process on a 2-vCPU Xeon, were
+# faster in 33/90 pairs at 280x360 (100,800 pixels), 26/45 at 300x370
+# (111,000), 29/45 at 310x380 and 34/45 at 300x400 (120,000).
+POOLED_PIXELS = 110_000
+
 
 class WorkerPool:
-    """Runs row-strip kernels and independent tasks on a fixed thread count (0: one per CPU)."""
+    """Runs row-strip kernels and independent tasks on a fixed thread count.
 
-    def __init__(self, threads: int = 0):
+    ``threads`` 0 is auto: one worker per CPU, or one for ``pixels`` under ``POOLED_PIXELS``.
+    """
+
+    def __init__(self, threads: int = 0, pixels: int | None = None):
         if threads < 0:
             raise ParameterError(f"threads must be >= 0, got {threads}")
+        if not threads and pixels is not None and pixels < POOLED_PIXELS:
+            threads = 1
         self.workers = threads or os.cpu_count() or 1
         self._executor = ThreadPoolExecutor(self.workers) if self.workers > 1 else None
 

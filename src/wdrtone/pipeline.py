@@ -5,8 +5,8 @@ The integral histogram and both summed-area tables are built exactly once per
 call; only the per-scale window queries repeat. Everything after those builds
 runs as ``tmo.render_rows`` per row strip on a worker pool, so no full-frame
 fusion or display raster is kept; neither strip height nor worker count
-changes the output bits. On frames of ``_POOLED_FRONT_PIXELS`` and more,
-luminance, log and the integral histogram run on the same pool.
+changes the output bits. Luminance, log and the integral histogram run on
+the same pool, whose auto size follows the frame's pixel count.
 
 ``tmo.log_transform`` writes the log raster into the body of the sums table,
 and ``integral.build_moment_tables`` squares it into the squares table and
@@ -49,11 +49,6 @@ from .params import TmoParams
 # tone_map_image and 3.59 GiB for tone_map_to_array on one worker, so both fit.
 MAX_PEAK_BYTES = 4 << 30
 _STRIP_PIXEL_BYTES = 64  # the module docstring's per-strip term
-# Smaller frames run the front half (luminance, log, integral histogram) on
-# the calling thread. Timed in-process at auto on 2 vCPUs, the pool's
-# hand-offs there cost more than splitting the stages saves: 120x160 and
-# 240x320 calls were slower pooled, 360x480 level, 480x640 level to faster.
-_POOLED_FRONT_PIXELS = 1 << 18
 
 
 @dataclass
@@ -117,7 +112,7 @@ def _tone_map(
     # the scale rule depends on the size alone, so it fails before any pixel work
     tmo.make_scale_schedule(width, height, params.scales)
     timings = StageTimings()
-    with _timed(timings, "total_ms"), parallel.WorkerPool(threads) as pool:
+    with _timed(timings, "total_ms"), parallel.WorkerPool(threads, height * width) as pool:
         peak = _peak_bytes(height, width, params.bins, pool.workers, encode)
         if peak > MAX_PEAK_BYTES:
             raise ParameterError(
@@ -125,20 +120,19 @@ def _tone_map(
                 f"needs an estimated {peak / 2**30:.2f} GiB, over the "
                 f"{MAX_PEAK_BYTES / 2**30:g} GiB budget"
             )
-        front = pool if height * width >= _POOLED_FRONT_PIXELS else None
         with _timed(timings, "luminance_ms"):
-            luminance = tmo.rgb_to_luminance(image, front)
+            luminance = tmo.rgb_to_luminance(image, pool)
 
         with _timed(timings, "log_edges_ms"):
             floor = tmo.resolve_log_floor(luminance, params.log_floor)
-            log_lum = tmo.log_transform(luminance, floor, front)
+            log_lum = tmo.log_transform(luminance, floor, pool)
             del luminance
             edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
 
         tables = None  # no usable range: every strip is mid-gray
         if not degenerate:
             with _timed(timings, "integral_histogram_ms"):
-                hist = integral.build_integral_histogram(log_lum.values, edges, front)
+                hist = integral.build_integral_histogram(log_lum.values, edges, pool)
 
             with _timed(timings, "integral_images_ms"):
                 tables = (hist, *integral.build_moment_tables(log_lum.values, pool))

@@ -20,8 +20,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .hdr_io import HdrImage, _encode_rows
-from .integral import IntegralHistogram, IntegralImage, Region, _zero_bordered, region_variance
+from .hdr_io import HdrImage, encode_rows
+from .integral import IntegralHistogram, IntegralImage, Region, region_variance, table_body
 from .parallel import SERIAL, WorkerPool
 from .params import (
     ABSOLUTE_LOG_FLOOR,
@@ -93,7 +93,7 @@ def log_transform(
     its rows are fresh; the extrema of those are exactly the raster's.
     """
     require_positive_finite("log_floor", log_floor)
-    values = _zero_bordered(*np.shape(luminance))[1:, 1:]
+    values = table_body(*np.shape(luminance))
 
     def kernel(a: int, b: int) -> tuple[float, float]:
         body = values[a:b]
@@ -560,11 +560,11 @@ def render_rows(
     encode = out.dtype == np.uint8
     display = np.empty((*shape, 3)) if encode else out[rows]
     _restore_rows(pixels, luminance_in, fused, params.saturation, display)
-    # display_max is positive and finite, so this lands in [0, 1] as _encode_rows needs
+    # display_max is positive and finite, so this lands in [0, 1] as encode_rows needs
     np.clip(display, 0.0, params.display_max, out=display)
     display /= params.display_max
     lap("color_restore_ms")
     if encode:
-        _encode_rows(display, params.gamma, out[rows])
+        encode_rows(display, params.gamma, out[rows])
         lap("encode")
     return spent

@@ -126,6 +126,34 @@ class TestRegionSum:
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
+class TestMomentTables:
+    def test_a_table_body_gives_both_integral_images(self):
+        values = np.random.default_rng(31).normal(0, 2, (5, 6))
+        body = integral.table_body(5, 6)
+        body[...] = values
+        sums, squares = integral.build_moment_tables(body)
+        assert sums.table.tobytes() == integral.build_integral_image(values).table.tobytes()
+        assert squares.table.tobytes() == integral.build_integral_image(values * values).table.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.random.default_rng(32).random((3, 4)),
+            lambda: np.random.default_rng(33).random((5, 6))[:, :3],
+            lambda: np.random.default_rng(34).random((5, 6))[1:, 1:],  # border not zero
+            lambda: np.zeros((4, 5), np.float32)[1:, 1:],
+        ],
+        ids=["plain", "column_slice", "nonzero_border", "float32_table"],
+    )
+    def test_anything_but_a_table_body_raises_and_stays_unwritten(self, make):
+        body = make()
+        owner = body if body.base is None else body.base
+        before = owner.copy()
+        with pytest.raises(ParameterError, match="zero-bordered float64 table"):
+            integral.build_moment_tables(body)
+        assert owner.tobytes() == before.tobytes()
+
+
 class TestBinning:
     def test_interior_edge_goes_to_upper_bin(self):
         edges = np.array([0.0, 1.0, 2.0, 3.0])

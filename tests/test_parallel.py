@@ -1,6 +1,8 @@
-"""WorkerPool: strips come back in order, and a worker's exception reaches the caller.
-The front half's pooled kernels give the same bytes on any pool and strip height."""
+"""WorkerPool: the worker-count rule, strips come back in order, and a worker's
+exception reaches the caller. The front half's pooled kernels give the same
+bytes on any pool and strip height."""
 
+import os
 import threading
 import time
 
@@ -9,7 +11,25 @@ import pytest
 
 from wdrtone import integral, parallel, tmo
 from wdrtone.hdr_io import HdrImage
-from wdrtone.parallel import STRIP_ROWS, WorkerPool
+from wdrtone.parallel import POOLED_PIXELS, STRIP_ROWS, WorkerPool
+
+
+@pytest.mark.parametrize(
+    "threads, pixels, workers",
+    [
+        (0, None, 5),  # auto with no pixel count: one per CPU
+        (0, POOLED_PIXELS - 1, 1),
+        (0, POOLED_PIXELS, 5),
+        (0, 10 * POOLED_PIXELS, 5),
+        (1, 10 * POOLED_PIXELS, 1),
+        (3, None, 3),
+        (3, 1, 3),  # an explicit count holds at any size
+    ],
+)
+def test_worker_count_rule(monkeypatch, threads, pixels, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    with WorkerPool(threads, pixels) as pool:
+        assert pool.workers == workers
 
 
 def test_run_rows_returns_results_in_strip_order():

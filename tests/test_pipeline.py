@@ -2,6 +2,7 @@
 thread independence, timing capture, stage composition."""
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -115,24 +116,44 @@ class TestToneMapImage:
                 assert np.array_equal(ldr.pixels, reference[0]), (strip_rows, threads)
                 assert arr.tobytes() == reference[1].tobytes(), (strip_rows, threads)
 
-    def test_front_half_placement_does_not_change_bits(self, monkeypatch):
-        # a frame this small runs its front half on the calling thread unless
-        # the threshold is lowered; both placements must give the same bits
+    def test_one_worker_count_rule_for_every_stage(self, monkeypatch):
+        # auto sizes the pool from the frame's pixel count, an explicit count
+        # holds at any size, and every stage is handed that one pool
         img = random_wdr(11, 130, 70)
         params = TmoParams(bins=5, scales=3)
         reference = tone_map_to_array(img, params, threads=1)[0].tobytes()
-        pools = []
-        luminance = tmo.rgb_to_luminance
-        monkeypatch.setattr(
-            tmo, "rgb_to_luminance", lambda image, pool=None: pools.append(pool) or luminance(image, pool)
-        )
-        for front_pixels in (0, 130 * 70 + 1):
-            monkeypatch.setattr(pipeline, "_POOLED_FRONT_PIXELS", front_pixels)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # every stage that runs on the call's pool, with the pool among its arguments
+        stages = [
+            (tmo, "rgb_to_luminance"),
+            (tmo, "log_transform"),
+            (integral, "build_integral_histogram"),
+            (integral, "build_moment_tables"),
+            (parallel.WorkerPool, "run_rows"),
+        ]
+        received = {}  # stage name -> every pool passed to it
+
+        def spy(owner, name):
+            stage = getattr(owner, name)
+
+            def spied(*args):
+                received[name] += [arg for arg in args if isinstance(arg, parallel.WorkerPool)]
+                return stage(*args)
+
+            monkeypatch.setattr(owner, name, spied)
+
+        for owner, name in stages:
+            spy(owner, name)
+        for threads, pooled_pixels, workers in ((0, 130 * 70 + 1, 1), (0, 130 * 70, 4), (3, 130 * 70 + 1, 3)):
+            monkeypatch.setattr(parallel, "POOLED_PIXELS", pooled_pixels)
             for strip_rows in (3, 64):
                 monkeypatch.setattr(parallel, "STRIP_ROWS", strip_rows)
-                pools.clear()
-                assert tone_map_to_array(img, params, threads=3)[0].tobytes() == reference
-                assert (pools[0] is not None) == (front_pixels == 0), (front_pixels, strip_rows)
+                received.update((name, []) for _, name in stages)
+                assert tone_map_to_array(img, params, threads=threads)[0].tobytes() == reference
+                case = (threads, pooled_pixels, strip_rows)
+                assert all(received.values()), case  # each stage ran on a pool
+                pools = {id(pool): pool for given in received.values() for pool in given}
+                assert [pool.workers for pool in pools.values()] == [workers], case
 
     def test_peak_traced_memory(self):
         # the full-frame fusion and display rasters stay out of the strip pass

@@ -386,21 +386,20 @@ def write_pfm(image: HdrImage) -> bytes:
 # 8-bit display output
 # ---------------------------------------------------------------------------
 
-def encode_rows(rgb: np.ndarray, gamma: float, out: np.ndarray) -> None:
-    """Encode a strip of [0, 1] floats into a uint8 strip; the range is the caller's to check.
+def quantize_rows(encoded: np.ndarray, out: np.ndarray) -> None:
+    """Quantize a strip of gamma-encoded [0, 1] floats into a uint8 strip: rint(255 * v).
 
-    ``rgb`` is scratch: the encode works in it and leaves it overwritten.
+    The range is the caller's to check. ``encoded`` is scratch: it is left overwritten.
     """
-    np.power(rgb, 1.0 / gamma, out=rgb)
-    np.multiply(rgb, 255.0, out=rgb)
-    np.rint(rgb, out=rgb)
-    out[...] = rgb
+    np.multiply(encoded, 255.0, out=encoded)
+    np.rint(encoded, out=encoded)
+    out[...] = encoded
 
 
 def quantize_ldr(rgb: np.ndarray, gamma: float) -> LdrImage:
     """Quantize a [0, 1] float raster to 8 bits: round(255 * v**(1/gamma)).
 
-    Encodes a copy of one row strip at a time; the caller's raster is never written.
+    Encodes one row strip at a time; the caller's raster is never written.
     """
     require_positive_finite("gamma", gamma)
     rgb = np.asarray(rgb, dtype=np.float64)
@@ -411,7 +410,7 @@ def quantize_ldr(rgb: np.ndarray, gamma: float) -> LdrImage:
         raise ParameterError("display values must lie in [0, 1]; clamp before encoding")
     encoded = np.empty(rgb.shape, np.uint8)
     SERIAL.run_rows(
-        lambda a, b: encode_rows(rgb[a:b].copy(), gamma, encoded[a:b]), rgb.shape[0]
+        lambda a, b: quantize_rows(np.power(rgb[a:b], 1.0 / gamma), encoded[a:b]), rgb.shape[0]
     )
     encoded.flags.writeable = False  # fresh array, skip the defensive copy
     return LdrImage(encoded)

@@ -8,9 +8,12 @@ fusion or display raster is kept; neither strip height nor worker count
 changes the output bits. Luminance, log and the integral histogram run on
 the same pool, whose auto size follows the frame's pixel count.
 
-``tmo.log_transform`` writes the log raster into the body of the sums table,
-and ``integral.build_moment_tables`` squares it into the squares table and
-prefix-sums both in place. With ``tone_map_image`` on ``workers`` threads,
+``tmo.log_transform`` writes the log raster, centred on the midpoint of its
+range, into the body of the sums table, and ``integral.build_moment_tables``
+squares it into the squares table and prefix-sums both in place. The strips
+take each window sum as a row difference of a table, then a column
+difference, and ``tone_map_image`` restores colour and gamma-encodes in one
+log-domain pass. With ``tone_map_image`` on ``workers`` threads,
 the peak traced memory is then close to and at most
 
     (4 * (bins - 1) + 16) * (H + 1) * (W + 1) + 4 * H * W
@@ -18,13 +21,15 @@ the peak traced memory is then close to and at most
 
 the int32 histogram planes and the two float64 tables; the bin map (one
 byte per pixel up to 256 bins) and the uint8 result; and, for each strip
-in flight, 64 bytes per strip pixel (measured: 59 at 1920 columns, 61-62
-at 769). Through the scale loop a strip holds 41 of them: the numerator
-and weight sums, one scale's values and window counts, and each pixel's
-gather index and bin-0 mask. On top come either the tone map's two int32
-corner rasters and one run's gather index, or the weights and second
-moments. The colour restore's fused, luminance and display strips (40
-bytes) start once those are freed. ``tone_map_to_array`` returns a float64
+in flight, 64 bytes per strip pixel (measured: 59 at 1920 columns, 55-62
+at 769). Through the scale loop a strip holds 33 of them: the numerator
+and weight sums, one scale's window counts, and each pixel's gather index
+and bin-0 mask. Each scale takes its weights first: the weights, the
+second moments and one y-run's row difference of a summed-area table (24
+bytes). The tone map then holds the weights beside its two int32 corner
+rasters and one run's gather index (24), and allocates its values once
+those are freed. The colour restore's fused, luminance and display strips
+(40 bytes) start once the scale loop's buffers are freed. ``tone_map_to_array`` returns a float64
 raster, 21 bytes per pixel more. Every call checks this estimate against
 ``MAX_PEAK_BYTES`` before any pixel work.
 """

@@ -8,7 +8,10 @@ keep their detailed (small-field) rendition while flat neighborhoods keep the
 artifact-free global one.
 
 Windows are centered on the pixel and clamped to the image rectangle; all
-window statistics use the clamped pixel count.
+window statistics use the clamped pixel count. The log luminance is centred
+on the midpoint of its range before its summed-area tables are built, so the
+window variances stay exact at any exposure. The 8-bit output restores colour
+and applies the display gamma in one log-domain pass.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .hdr_io import HdrImage, encode_rows
+from .hdr_io import HdrImage, quantize_rows
 from .integral import IntegralHistogram, IntegralImage, Region, region_variance, table_body
 from .parallel import SERIAL, WorkerPool
 from .params import (
@@ -40,11 +43,12 @@ from .params import (
 
 @dataclass(frozen=True)
 class LogLuminance:
-    """Log-domain luminance raster with cached extrema."""
+    """Log-domain luminance raster, shifted to centre its range, with cached extrema."""
 
-    values: np.ndarray  # (H, W) float64 ln(max(L, floor)), the body [1:, 1:] of zero-bordered values.base
-    log_min: float
+    values: np.ndarray  # (H, W) float64 ln(max(L, floor)) - offset, the body [1:, 1:] of zero-bordered values.base
+    log_min: float  # the extrema of values, so bin edges span the shifted range
     log_max: float
+    offset: float = 0.0  # the midpoint of the log range, subtracted from every log
 
 
 class FieldExtent(NamedTuple):
@@ -85,38 +89,46 @@ def resolve_log_floor(luminance: np.ndarray, log_floor: float | None = None) -> 
 def log_transform(
     luminance: np.ndarray, log_floor: float, pool: WorkerPool | None = None
 ) -> LogLuminance:
-    """ln(max(luminance, floor)) in row strips on ``pool``, with cached extrema.
+    """ln(max(luminance, floor)) - offset in row strips on ``pool``, with cached extrema.
 
-    The clamp and the log land in place in the body of a zero-bordered
-    (H+1, W+1) buffer, which ``integral.build_moment_tables`` prefix-sums in
-    place into its summed-area table. Each strip takes its own extrema while
-    its rows are fresh; the extrema of those are exactly the raster's.
+    The offset is the midpoint of the log range, taken from the luminance
+    extrema (the log is monotone). Centred values keep the summed-area tables
+    small, so window sums and variances lose no precision to a large log
+    offset such as RGBE's ln 2^127. The clamp, the log and the shift land in
+    place in the body of a zero-bordered (H+1, W+1) buffer, which
+    ``integral.build_moment_tables`` prefix-sums in place into its
+    summed-area table. Each strip takes its own extrema while its rows are
+    fresh; the extrema of those are exactly the raster's.
     """
     require_positive_finite("log_floor", log_floor)
     values = table_body(*np.shape(luminance))
+    # an empty raster raises here, as values.min() would
+    low, high = np.log(np.maximum((np.min(luminance), np.max(luminance)), log_floor))
+    offset = (low + high) / 2.0
 
     def kernel(a: int, b: int) -> tuple[float, float]:
         body = values[a:b]
         np.log(np.maximum(luminance[a:b], log_floor, out=body), out=body)
+        body -= offset
         return body.min(), body.max()
 
-    # an empty raster reduces over no strips, which raises as values.min() would
     lows, highs = np.array((pool or SERIAL).run_rows(kernel, len(values))).reshape(-1, 2).T
-    return LogLuminance(values, float(lows.min()), float(highs.max()))
+    return LogLuminance(values, float(lows.min()), float(highs.max()), float(offset))
 
 
 def compute_bin_edges(log_lum: LogLuminance, bins: int) -> tuple[np.ndarray, bool]:
     """Equal-width boundaries over the log range.
 
-    Returns (edges, degenerate). The range is unusable when the edges are not
-    strictly increasing: a constant image, or a log range only a few ulps wide
-    whose edges round onto each other. The degenerate flag routes the pipeline
-    to a constant output instead.
+    Returns (edges, degenerate), the edges over the shifted values. The range
+    is unusable when the edges, shifted back by the offset, are not strictly
+    increasing: a constant image, or a log range only a few ulps of the log
+    wide, which is the log's own rounding. The degenerate flag routes the
+    pipeline to a constant output instead.
     """
     require_bins(bins)
     lo, hi = log_lum.log_min, log_lum.log_max
     edges = lo + (hi - lo) * np.arange(bins + 1) / bins
-    degenerate = not (np.diff(edges) > 0).all()
+    degenerate = not (np.diff(edges + log_lum.offset) > 0).all()
     return edges, degenerate
 
 
@@ -193,24 +205,20 @@ def _runs(axis: _Axis):
 def _box_window_sums(table: np.ndarray, window: _Window, out: np.ndarray) -> None:
     """Clamped window sums of a strip into ``out``, from its zero-padded summed-area table.
 
-    Pure slice arithmetic: every pixel's four-corner combination reduces, run
-    by run, to shifted views of the table, so no gather indexing is needed.
-    Corners on the zero pad contribute exactly zero and are dropped.
+    Pure slice arithmetic, one y-run at a time: ``D = T[y_hi] - T[y_lo]``, one
+    contiguous difference of whole table rows, sums every table column over
+    the run's window rows; each x-run of windows is then ``D[:, x_hi] -
+    D[:, x_lo]``, shifted views of D, so no gather indexing is needed. Ends on
+    the zero pad contribute exactly zero and are dropped.
     """
     x_runs = list(_runs(window.x))
     for y_run, y_hi, y_lo in _runs(window.y):
-        hi = table[y_hi]
-        lo = None if y_lo is None else table[y_lo]
+        rows = table[y_hi] if y_lo is None else table[y_hi] - table[y_lo]
         for x_run, x_hi, x_lo in x_runs:
-            block = out[y_run, x_run]
             if x_lo is None:
-                block[...] = hi[:, x_hi]
+                out[y_run, x_run] = rows[:, x_hi]
             else:
-                np.subtract(hi[:, x_hi], hi[:, x_lo], out=block)
-            if lo is not None:
-                np.subtract(block, lo[:, x_hi], out=block)
-                if x_lo is not None:
-                    np.add(block, lo[:, x_lo], out=block)
+                np.subtract(rows[:, x_hi], rows[:, x_lo], out=out[y_run, x_run])
 
 
 class _StripIndex(NamedTuple):
@@ -287,26 +295,31 @@ def _tone_map_rows(
     window: _Window,
     params: TmoParams,
     index: _StripIndex,
-    out: np.ndarray,
-) -> None:
-    """Display values of a strip at one field size into ``out``.
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Display values of a strip at one field size into ``out``, which is returned.
 
-    ``index`` is the strip's ``_strip_index``. The integer corners on the
-    zero pad add exactly nothing, so the leading ``padded`` rows and columns
-    never gather them.
+    Without ``out``, the raster is allocated once the corner gathers are
+    done, so their peak does not hold it. ``index`` is the strip's
+    ``_strip_index``. The integer corners on the zero pad add exactly
+    nothing, so the leading ``padded`` rows and columns never gather them.
     """
     flat = hist.cum_below.reshape(-1)
-    below = np.empty(out.shape, hist.cum_below.dtype)
+    below = np.empty(index.own.shape, hist.cum_below.dtype)
     _gather_corner(flat, index, window, False, False, below)
     corner = np.empty_like(below)
     for low_y, low_x, combine in ((False, True, np.subtract), (True, False, np.subtract), (True, True, np.add)):
         for rows, cols in _gather_corner(flat, index, window, low_y, low_x, corner):
             block = below[rows, cols]
             combine(block, corner[rows, cols], out=block)
+    del corner
     below *= index.above  # bin 0 gathered another plane; nothing lies below it
+    if out is None:
+        out = np.empty(below.shape)
     np.divide(below, window.count, out=out)
     out *= params.display_max - params.display_min
     out += params.display_min
+    return out
 
 
 def _global_tone_curve(hist: IntegralHistogram, params: TmoParams) -> np.ndarray:
@@ -493,6 +506,41 @@ def restore_color(
     return result
 
 
+def _gamma_encode_rows(
+    pixels: np.ndarray,
+    luminance_in: np.ndarray,
+    fused: np.ndarray,
+    params: TmoParams,
+    out: np.ndarray,
+) -> None:
+    """Gamma-encoded [0, 1] display values of a strip into ``out``, in the log domain.
+
+    ``tone_map_to_array``'s value is (C/L_in)**s * fused clipped to
+    [0, display_max], over display_max; its encode raises that to 1/gamma.
+    The clip commutes with the monotone powers, so the encode is
+    ``exp(min(s ln C + ln(max(fused, 0) / display_max) - s ln L_in, 0) / gamma)``:
+    one log and one exp per channel instead of two powers. Every term is
+    finite or -inf, and the clip comes before the division by gamma, so the
+    exponent is never NaN or +inf at any finite radiance and positive gamma.
+    ``luminance_in`` and ``fused`` are overwritten.
+    """
+    saturation = params.saturation
+    # ln 0 = -inf encodes as 0, as does an exponent past the float range
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        np.maximum(fused, 0.0, out=fused)
+        fused /= params.display_max
+        np.log(fused, out=fused)
+        np.log(luminance_in, out=luminance_in)
+        luminance_in *= saturation
+        fused -= luminance_in
+        np.log(pixels, out=out)
+        out *= saturation
+        out += fused[:, :, None]
+        np.minimum(out, 0.0, out=out)
+        out /= params.gamma
+        np.exp(out, out=out)
+
+
 def render_rows(
     image: HdrImage,
     params: TmoParams,
@@ -507,7 +555,9 @@ def render_rows(
     ``tables`` is (integral histogram, sums, squares) of the log taken at
     ``floor``, or None for a mid-gray strip when the log range is unusable. A
     float64 ``out`` receives the [0, 1] display values, a uint8 one their gamma
-    encode. Returns the seconds spent, keyed by ``StageTimings`` field, plus ``encode``.
+    encode, taken in the log domain by ``_gamma_encode_rows``: at most one code
+    from ``hdr_io.quantize_ldr`` of the float values, at a rounding tie.
+    Returns the seconds spent, keyed by ``StageTimings`` field, plus ``encode``.
     """
     rows = slice(row_start, row_stop)
     shape = (row_stop - row_start, image.width)
@@ -533,21 +583,22 @@ def render_rows(
         weight_sum = np.full(shape, global_weight)
         lap("tone_map_ms")
         index = _strip_index(hist, row_start, row_stop)
-        values = np.empty(shape)
         for extent in schedule[1:]:
             window = _window(row_start, row_stop, image.width, image.height, extent)
-            _tone_map_rows(hist, window, params, index, values)
             lap("tone_map_ms")
-            # allocated after the tone map, so its gathers' peak does not hold it
+            # the weights come first, so their peak holds no tone mapped values,
+            # and the tone map allocates its values only after its gathers
             weights = np.empty(shape)
             _weight_rows(sums, squares, window, params.epsilon, weights)
-            del window
             lap("weights_ms")
+            values = _tone_map_rows(hist, window, params, index)
+            del window
+            lap("tone_map_ms")
             # the accumulator may clobber the weights: they die with this scale
             _accumulate_rows(numerator, weight_sum, value_sum, values, weights)
-            del weights
+            del weights, values
             lap("fusion_ms")
-        del index, values
+        del index
         fused = finalize_fusion(numerator, weight_sum, value_sum, len(schedule))
         del weight_sum, value_sum
     lap("fusion_ms")
@@ -557,14 +608,17 @@ def render_rows(
     luminance_in = np.empty(shape)
     _luminance_rows(pixels, luminance_in)
     np.maximum(luminance_in, floor, out=luminance_in)
-    encode = out.dtype == np.uint8
-    display = np.empty((*shape, 3)) if encode else out[rows]
-    _restore_rows(pixels, luminance_in, fused, params.saturation, display)
-    # display_max is positive and finite, so this lands in [0, 1] as encode_rows needs
-    np.clip(display, 0.0, params.display_max, out=display)
-    display /= params.display_max
-    lap("color_restore_ms")
-    if encode:
-        encode_rows(display, params.gamma, out[rows])
+    if out.dtype == np.uint8:
+        encoded = np.empty((*shape, 3))
+        _gamma_encode_rows(pixels, luminance_in, fused, params, encoded)
+        lap("color_restore_ms")
+        quantize_rows(encoded, out[rows])
         lap("encode")
+    else:
+        display = out[rows]
+        _restore_rows(pixels, luminance_in, fused, params.saturation, display)
+        # display_max is positive and finite, so this lands in [0, 1]
+        np.clip(display, 0.0, params.display_max, out=display)
+        display /= params.display_max
+        lap("color_restore_ms")
     return spent

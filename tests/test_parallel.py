@@ -95,18 +95,22 @@ def test_log_and_extrema_are_pool_independent(strip_rows, below_floor):
     if below_floor:
         floor = 0.5
         lum[-1, 11:15] = [0.0, 1e-9, 0.25, 0.4999]
-    reference = np.log(np.maximum(lum, floor))
+    log = np.log(np.maximum(lum, floor))
+    offset = (log.min() + log.max()) / 2
+    reference = log - offset
     for log_lum in on_every_pool(lambda pool: tmo.log_transform(lum, floor, pool)):
+        assert log_lum.offset == offset
         assert log_lum.values.tobytes() == reference.tobytes()
         assert (log_lum.log_min, log_lum.log_max) == (reference.min(), reference.max())
-        assert log_lum.log_min == (np.log(floor) if below_floor else np.log(1e-3))
-        assert log_lum.log_max == np.log(1e3)
+        assert log_lum.log_min == (np.log(floor) if below_floor else np.log(1e-3)) - offset
+        assert log_lum.log_max == np.log(1e3) - offset
 
 
 def test_constant_raster_stays_degenerate(strip_rows):
     lum = np.full((70, 23), 3.5)
     for log_lum in on_every_pool(lambda pool: tmo.log_transform(lum, 1e-6, pool)):
-        assert log_lum.log_min == log_lum.log_max == np.log(3.5)
+        assert log_lum.log_min == log_lum.log_max == 0.0
+        assert log_lum.offset == np.log(3.5)
         assert tmo.compute_bin_edges(log_lum, 5)[1]  # degenerate
 
 

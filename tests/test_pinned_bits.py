@@ -43,7 +43,7 @@ def test_1080p_defaults():
         "793b7b34294f132c04bcab7ac34f0877167661ccec91e66a6aa17a4af3ea6fb7"
     )
     assert sha256(tone_map_to_array(img, threads=1)[0]) == (
-        "fb9a66d5f788ca3576e3fb8f6de589de1c171c0118bbd94cd7f79bca3d030253"
+        "7079887d5e70edc936e86f41dc43b46cfc70e2979d1950f0cf50d7ca6018549a"
     )
 
 
@@ -58,7 +58,7 @@ def test_explicit_floor_over_black_pixels(threads):
         "f6e27d01a922e130502fbefc61338ae9eb59c426e4fdac3ce4aa9faa11a35475"
     )
     assert sha256(tone_map_to_array(img, params, threads=threads)[0]) == (
-        "1599a6e80979964ea584b1aabb5d259829cad92b5999906a313e197c34c69490"
+        "7567c3eea24659b51f0a5ccdde5b3fa90049ba8ef384d3442bb522d9d219d3bd"
     )
 
 
@@ -93,7 +93,7 @@ CORPUS = {
         TmoParams(bins=16, scales=3, display_min=-0.25),
         (
             "a22767e7514225c958af72db3314e471f1a56f3b9b0e44b6ae1abaa1a150ac74",
-            "f7bebd64072dcd77d02fa7908cd14bb8d3fe99503f1c05bf0bb8c860aa97ed97",
+            "fd8aa51f057e47a2e531dbfd8775a885476a202ade65e4a15525fca4ab95d71c",
         ),
     ),
     "bins300-scales5-gamma1": (
@@ -101,7 +101,7 @@ CORPUS = {
         TmoParams(bins=300, scales=5, gamma=1.0),
         (
             "fc22a398ed61002c10409b5d4615d9ab8a9c7d07206ce41e5362260e96e48dbf",
-            "672ccf0d3017aff1c403e54c100b2c80cb113a68986c9bb6c9d7c4fd445d5ea7",
+            "f1e8f144f0bfa01a6f9cccad716d0bf6a58cfc3965d35ceb8140e6c4cf715e56",
         ),
     ),
     "tall-narrow-scales4": (
@@ -109,7 +109,7 @@ CORPUS = {
         TmoParams(scales=4),
         (
             "907edf75b9628e07b0225b9f892f106eb4489b0ee52a757bc4d2a5e45cf7c140",
-            "b2f99a476bb40f671834c22d1fbf3ad339865b4891a12f0e8f69d14c59c06051",
+            "ec5e6faf45447b5c3fceb1936f27d083b0c8c9c61f55d78c858f4cbe16a32cac",
         ),
     ),
     "bins5-scales3-negative-zero-min": (
@@ -117,7 +117,7 @@ CORPUS = {
         TmoParams(bins=5, scales=3, display_min=-0.0),
         (
             "fe6c2a53d6e47455bea5eb4b8b41e006b5381805c4510c5e98462244eb5d1658",
-            "1d2564cb6dc56d29f24b21ee5cdc09295aab4d46347d5c455d7d9343d54bcb6c",
+            "40035f8ffb7f617f71beacf12b5579f104b448cfbd9ee4f186dd8426f49b1b5a",
         ),
     ),
     "saturation-near-zero": (
@@ -125,7 +125,7 @@ CORPUS = {
         TmoParams(scales=3, saturation=1e-3),
         (
             "34033a2abcb3d8d51c24dffecbfdd0281590c0222fc6c7f4182d98617979855c",
-            "079e084be29f06b515f23bb99017ffa429895d9504d84cea1af1f4ab81610a7b",
+            "cf29f97a616d55a740c57976ce9dbb4e4a7d4eae30e730abce9b3bbce3941788",
         ),
     ),
     "two-level-fallback": (
@@ -142,7 +142,7 @@ CORPUS = {
         TmoParams(bins=7, scales=4),
         (
             "343f629fccaaef5bc64fcc1be1e40fe6ec6e7a29a0c7cfe7a75678ffffaf08d7",
-            "d6a96fd2efd8e4b09c72384eac6e99af3a6a3d7adc017978137bd5c91f329185",
+            "4fba3b3c8615e626e1a9dacb81d8f4da2db5c4a1e6add0dec5b6c25834bd7127",
         ),
     ),
     "pfm": (
@@ -150,7 +150,7 @@ CORPUS = {
         TmoParams(scales=4, saturation=0.9, epsilon=0.02),
         (
             "bf3b1cd2b5164829aa91609073b2ff36681dbd5bc0f4c0070126804821cf766c",
-            "da4a5e46b0a7297779b0d085785692082c371c525094dca3cbc676ccfa37f3f5",
+            "f251c3a9b93bf0dcc0d53d23a149c55c6df46806c7f8711a30af23114956b33f",
         ),
     ),
 }

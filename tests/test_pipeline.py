@@ -215,7 +215,7 @@ class TestToneMapImage:
             "73abad5b771545f3a8bda2348a243ea3b963d0efcf788d86b6b96b7103a46096"
         )
         assert hashlib.sha256(arr.tobytes()).hexdigest() == (
-            "2797d45e93f5836b83ce08fc10e1d65696eabaf874de3f5519ff7215c65fbff4"
+            "2a15b5a724eb0b6d134025a52b15a23ee77e94ac5c2723fbac98fe73376f56d4"
         )
 
     def test_too_small_image_rejected(self):

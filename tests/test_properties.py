@@ -11,9 +11,11 @@ import pytest
 
 from test_hdr_io import SIGNALLING_NAN_PFM, VALID_FILES
 from test_integral import random_raster, random_region
-from wdrtone import hdr_io, integral
+from wdrtone import cli, hdr_io, integral
 from wdrtone.errors import HdrFormatError
 from wdrtone.integral import Region
+from wdrtone.params import TmoParams
+from wdrtone.pipeline import tone_map_image, tone_map_to_array
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -83,6 +85,33 @@ class TestLdrOutput:
         rgb = np.array([[[lo, hi, hi]]])
         out = hdr_io.quantize_ldr(rgb, gamma).pixels
         assert out[0, 0, 0] <= out[0, 0, 1]
+
+
+class TestEightBitPaths:
+    # the pipeline's log-domain encode against quantize_ldr of the float output:
+    # the same value in another op order, so at most a rounding tie apart
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(0.01, 4.0),
+        st.floats(-0.5, 0.2),
+        st.floats(0.25, 4.0),
+        st.sampled_from([1.0, 1e-200, 1e290]),
+    )
+    def test_encode_within_one_code_of_quantize_ldr(
+        self, seed, saturation, gamma, display_min, display_max, radiance_scale
+    ):
+        image = hdr_io.HdrImage(cli.synthetic_wdr(11, 17, seed).pixels * radiance_scale)
+        params = TmoParams(
+            bins=5, scales=2, saturation=saturation, gamma=gamma,
+            display_min=display_min, display_max=display_max,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            encoded = tone_map_image(image, params, threads=1)[0].pixels
+            quantized = hdr_io.quantize_ldr(tone_map_to_array(image, params, threads=1)[0], gamma).pixels
+        assert np.abs(encoded.astype(np.int16) - quantized).max() <= 1
 
 
 class TestDecoderMutations:

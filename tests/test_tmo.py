@@ -45,14 +45,19 @@ class TestLogTransform:
 
     def test_floor_removes_zero(self):
         ll = tmo.log_transform(np.array([[0.0, 1.0]]), 1e-6)
-        assert ll.values[0, 0] == pytest.approx(np.log(1e-6))
-        assert ll.log_min == pytest.approx(-13.8155, abs=1e-4)
+        # the values are centred on the midpoint of the log range [ln 1e-6, 0]
+        assert ll.offset == pytest.approx(np.log(1e-6) / 2)
+        assert ll.values[0, 0] + ll.offset == pytest.approx(np.log(1e-6))
+        assert ll.log_min + ll.offset == pytest.approx(-13.8155, abs=1e-4)
+        assert ll.log_min == -ll.log_max
 
     def test_elementwise_matches_ln(self):
         rng = np.random.default_rng(2)
         lum = np.abs(rng.normal(1, 3, (8, 9)))
         ll = tmo.log_transform(lum, 1e-9)
-        assert np.array_equal(ll.values, np.log(np.maximum(lum, 1e-9)))
+        log = np.log(np.maximum(lum, 1e-9))
+        assert ll.offset == (log.min() + log.max()) / 2
+        assert np.array_equal(ll.values, log - ll.offset)
         assert ll.log_min == ll.values.min()
         assert ll.log_max == ll.values.max()
 
@@ -179,7 +184,8 @@ class TestBoxWindowSums:
                             assert axis.padded == (lo == 0).sum()
                             assert axis.pinned == (hi < size).sum()
                         yl, yh = yl[:, None], yh[:, None]
-                        expected = ((table[yh, xh] - table[yh, xl]) - table[yl, xh]) + table[yl, xl]
+                        # each y-run's row difference first, then its x-run's column difference
+                        expected = (table[yh, xh] - table[yl, xh]) - (table[yh, xl] - table[yl, xl])
                         out = np.full((b - a, width), np.nan)
                         tmo._box_window_sums(table, window, out)
                         assert out.tobytes() == expected.tobytes(), (half_h, half_w, a, b)
@@ -378,6 +384,27 @@ class TestWeightMap:
         quiet = tmo.weight_map_at_scale(*quiet_pair, FieldExtent(2, 2), 0.1)
         loud = tmo.weight_map_at_scale(*loud_pair, FieldExtent(2, 2), 0.1)
         assert (loud >= quiet).all()
+
+    @pytest.mark.parametrize("offset", [0.0, 50.0, -50.0, 88.0, -88.0])
+    def test_weights_stay_exact_at_any_log_offset(self, offset):
+        # sigma 0.01 log noise under a 7x5 window; 88 is about RGBE's ln 2^127.
+        # The tables of the raw log lose the variance to cancellation (the
+        # weights were off by 9.1e-4 of the largest at 50 and 2.9e-3 at 88);
+        # the midpoint shift keeps them within 1e-9 of a two-pass variance.
+        height, width, eps = 96, 128, 0.1
+        rng = np.random.default_rng(17)
+        luminance = np.exp(offset + rng.normal(0, 0.01, (height, width)))
+        floor = 1e-300
+        log_lum = tmo.log_transform(luminance, floor)
+        sums, squares = integral.build_moment_tables(log_lum.values)
+        weights = tmo.weight_map_at_scale(sums, squares, FieldExtent(3, 2), eps)
+        # two passes over each clamped window of the same logs: mean, then squared deviations
+        log = np.pad(np.log(np.maximum(luminance, floor)), ((2, 2), (3, 3)), constant_values=np.nan)
+        windows = np.lib.stride_tricks.sliding_window_view(log, (5, 7))
+        mean = np.nanmean(windows, axis=(2, 3), keepdims=True)
+        variance = np.nanmean((windows - mean) ** 2, axis=(2, 3))
+        expected = variance / (variance + eps)
+        assert np.abs(weights - expected).max() <= 1e-9 * expected.max()
 
     def test_bad_epsilon_raises(self):
         sums, squares = self.build_pair(np.ones((4, 4)))

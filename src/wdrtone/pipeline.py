@@ -8,13 +8,13 @@ fusion or display raster is kept; neither strip height nor worker count
 changes the output bits. Luminance, log and the integral histogram run on
 the same pool, whose auto size follows the frame's pixel count.
 
-``tmo.log_transform`` writes the log raster, centred on the midpoint of its
-range, into the body of the sums table, and ``integral.build_moment_tables``
-squares it into the squares table and prefix-sums both in place. The strips
-take each window sum as a row difference of a table, then a column
-difference, and ``tone_map_image`` restores colour and gamma-encodes in one
-log-domain pass. With ``tone_map_image`` on ``workers`` threads,
-the peak traced memory is then close to and at most
+``tmo.log_transform`` takes the floor and the log range from one pair of
+luminance extrema and writes the log, centred on that range, into the sums
+table's body; ``integral.build_moment_tables`` squares it into the squares
+table and prefix-sums both in place. The strips take each window sum as a row
+difference of a table, then a column difference, and ``tone_map_image``
+restores colour and gamma-encodes in one log-domain pass. On ``workers``
+threads, ``tone_map_image``'s peak traced memory is then close to and at most
 
     (4 * (bins - 1) + 16) * (H + 1) * (W + 1) + 4 * H * W
     + 64 * min(STRIP_ROWS, H) * W * min(workers, strips)  bytes:
@@ -129,12 +129,11 @@ def _tone_map(
             luminance = tmo.rgb_to_luminance(image, pool)
 
         with _timed(timings, "log_edges_ms"):
-            floor = tmo.resolve_log_floor(luminance, params.log_floor)
-            log_lum = tmo.log_transform(luminance, floor, pool)
+            log_lum = tmo.log_transform(luminance, params.log_floor, pool)
             del luminance
             edges, degenerate = tmo.compute_bin_edges(log_lum, params.bins)
 
-        tables = None  # no usable range: every strip is mid-gray
+        floor, tables = log_lum.floor, None  # tables None: no usable range, every strip is mid-gray
         if not degenerate:
             with _timed(timings, "integral_histogram_ms"):
                 hist = integral.build_integral_histogram(log_lum.values, edges, pool)

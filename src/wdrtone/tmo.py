@@ -43,12 +43,13 @@ from .params import (
 
 @dataclass(frozen=True)
 class LogLuminance:
-    """Log-domain luminance raster, shifted to centre its range, with cached extrema."""
+    """Log-domain luminance raster, shifted to centre its range, with cached extrema and floor."""
 
     values: np.ndarray  # (H, W) float64 ln(max(L, floor)) - offset, the body [1:, 1:] of zero-bordered values.base
     log_min: float  # the extrema of values, so bin edges span the shifted range
     log_max: float
-    offset: float = 0.0  # the midpoint of the log range, subtracted from every log
+    offset: float  # the midpoint of the log range, subtracted from every log
+    floor: float  # the clamp the log was taken at, which the colour restore reuses
 
 
 class FieldExtent(NamedTuple):
@@ -82,38 +83,37 @@ def rgb_to_luminance(image: HdrImage, pool: WorkerPool | None = None) -> np.ndar
 def resolve_log_floor(luminance: np.ndarray, log_floor: float | None = None) -> float:
     """Explicit floor if given, else the scene-relative default."""
     if log_floor is not None:
+        require_positive_finite("log_floor", log_floor)
         return float(log_floor)
     return max(ABSOLUTE_LOG_FLOOR, RELATIVE_LOG_FLOOR * float(luminance.max()))
 
 
 def log_transform(
-    luminance: np.ndarray, log_floor: float, pool: WorkerPool | None = None
+    luminance: np.ndarray, log_floor: float | None, pool: WorkerPool | None = None
 ) -> LogLuminance:
     """ln(max(luminance, floor)) - offset in row strips on ``pool``, with cached extrema.
 
-    The offset is the midpoint of the log range, taken from the luminance
-    extrema (the log is monotone). Centred values keep the summed-area tables
-    small, so window sums and variances lose no precision to a large log
-    offset such as RGBE's ln 2^127. The clamp, the log and the shift land in
-    place in the body of a zero-bordered (H+1, W+1) buffer, which
-    ``integral.build_moment_tables`` prefix-sums in place into its
-    summed-area table. Each strip takes its own extrema while its rows are
-    fresh; the extrema of those are exactly the raster's.
+    One pair of luminance extrema gives the floor (``resolve_log_floor`` of
+    ``log_floor``), the log range and the offset, its midpoint, as the log is
+    monotone. Centred values keep the summed-area tables small, so window
+    sums and variances lose no precision to a large log offset such as
+    RGBE's ln 2^127. The strips only clamp, log and shift, in place in the
+    body of a zero-bordered (H+1, W+1) buffer, which
+    ``integral.build_moment_tables`` prefix-sums in place.
     """
-    require_positive_finite("log_floor", log_floor)
     values = table_body(*np.shape(luminance))
-    # an empty raster raises here, as values.min() would
-    low, high = np.log(np.maximum((np.min(luminance), np.max(luminance)), log_floor))
+    extrema = np.array((np.min(luminance), np.max(luminance)))
+    floor = resolve_log_floor(extrema, log_floor)
+    low, high = np.log(np.maximum(extrema, floor))
     offset = (low + high) / 2.0
 
-    def kernel(a: int, b: int) -> tuple[float, float]:
+    def kernel(a: int, b: int) -> None:
         body = values[a:b]
-        np.log(np.maximum(luminance[a:b], log_floor, out=body), out=body)
+        np.log(np.maximum(luminance[a:b], floor, out=body), out=body)
         body -= offset
-        return body.min(), body.max()
 
-    lows, highs = np.array((pool or SERIAL).run_rows(kernel, len(values))).reshape(-1, 2).T
-    return LogLuminance(values, float(lows.min()), float(highs.max()), float(offset))
+    (pool or SERIAL).run_rows(kernel, len(values))
+    return LogLuminance(values, float(low - offset), float(high - offset), float(offset), floor)
 
 
 def compute_bin_edges(log_lum: LogLuminance, bins: int) -> tuple[np.ndarray, bool]:

@@ -1,5 +1,6 @@
 """Command-line behavior: modes, exit codes, reports, file outputs."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import wdrtone
 from wdrtone import cli
 from wdrtone.errors import ParameterError
 from wdrtone.hdr_io import HdrImage, write_pfm, write_radiance_hdr
+from wdrtone.pipeline import StageTimings
 
 
 @pytest.fixture()
@@ -58,6 +60,13 @@ class TestSingleMode:
         report = capsys.readouterr().out
         assert "total_ms:" in report
         assert "tone_map_ms:" in report
+        # csv: one header line of the StageTimings fields, one line of their values
+        code = run("--input", scene, "--output", out, "--scales", "2", "--timing", "--report-format", "csv")
+        assert code == 0
+        header, values = capsys.readouterr().out.splitlines()
+        assert header.split(",") == [f.name for f in dataclasses.fields(StageTimings)]
+        assert len(values.split(",")) == len(header.split(","))
+        assert all(float(v) >= 0.0 for v in values.split(","))
 
     def test_reruns_are_byte_identical(self, scene, tmp_path):
         out1 = tmp_path / "a.ppm"
@@ -74,6 +83,10 @@ class TestSingleMode:
     def test_missing_input_exits_2(self, tmp_path):
         code = run("--input", tmp_path / "nope.hdr", "--output", tmp_path / "o.ppm")
         assert code == 2
+
+    def test_missing_output_exits_2(self, scene, capsys):
+        assert run("--input", scene) == 2
+        assert capsys.readouterr().err == "single mode needs --input and --output\n"
 
     def test_undecodable_input_exits_2(self, tmp_path):
         bad = tmp_path / "bad.hdr"
@@ -266,6 +279,10 @@ class TestBenchMode:
 
     def test_resolution_below_1x1_exits_3(self):
         assert run("--bench", "--bench-resolutions=-3x5", "--repeats", "1") == 3
+
+    def test_empty_scales_list_exits_3(self, capsys):
+        assert run("--bench", "--bench-scales", ",", "--repeats", "1") == 3
+        assert capsys.readouterr().err == "wdrtone: invalid parameters: empty scales list\n"
 
     def test_file_input_resampled(self, scene, capsys):
         code = run(

@@ -99,6 +99,19 @@ class TestRadianceDecode:
         with pytest.raises(HdrFormatError):
             hdr_io.read_radiance_hdr(b"NOTHDR\n\n-Y 1 +X 1\n\x00\x00\x00\x00")
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"#?RADIANCE", "Radiance header has no newline"),
+            (b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y 1 +X 1", "missing resolution line"),
+            (b"#?RADIANCE\n\n-Y 0 +X 4\n", "resolution must be positive"),
+        ],
+        ids=["no_newline", "no_resolution_line", "zero_rows"],
+    )
+    def test_malformed_header_raises(self, data, message):
+        with pytest.raises(HdrFormatError, match=f"^{message}$"):
+            hdr_io.read_radiance_hdr(data)
+
     def test_unsupported_orientation_raises(self):
         data = b"#?RADIANCE\n\n+Y 1 +X 1\n" + bytes(4)
         with pytest.raises(HdrFormatError, match="only '-Y H \\+X W' orientation"):
@@ -381,6 +394,10 @@ class TestPfm:
         with pytest.raises(HdrFormatError):
             hdr_io.read_pfm(b"P5\n1 1\n255\n\x00")
 
+    def test_zero_size_rejected(self):
+        with pytest.raises(HdrFormatError, match="^PFM dimensions must be positive$"):
+            hdr_io.read_pfm(b"PF\n0 4\n-1.0\n")
+
     def test_truncated_payload(self):
         data = b"PF\n2 2\n-1.0\n" + struct.pack("<3f", 1, 1, 1)
         with pytest.raises(HdrFormatError, match="PFM payload holds 12 bytes, needs 48"):
@@ -482,6 +499,10 @@ class TestLdrOutput:
 
     def test_empty_raster_encodes(self):
         assert hdr_io.quantize_ldr(np.zeros((0, 4, 3)), 2.2).pixels.shape == (0, 4, 3)
+
+    def test_raster_without_channels_raises(self):
+        with pytest.raises(ParameterError, match=r"^expected a \(H, W, 3\) raster, got shape \(4, 4\)$"):
+            hdr_io.quantize_ldr(np.zeros((4, 4)), 2.2)
 
     def test_bad_gamma_raises(self):
         for gamma in (0.0, -2.2, np.inf, np.nan):

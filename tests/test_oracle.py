@@ -49,6 +49,11 @@ class TestNaiveRegionOps:
         counts = oracle.naive_region_histogram(values, [0.0, 4.0, 8.0], Region(0, 0, 4, 4))
         assert counts.tolist() == [0, 16]
 
+    @pytest.mark.parametrize("edges", [[0.0, 4.0, 4.0], [0.0, 8.0, 4.0], [1.0, 1.0]])
+    def test_bin_map_rejects_edges_that_do_not_increase(self, edges):
+        with pytest.raises(ParameterError, match="^bin edges must be strictly increasing$"):
+            oracle.naive_bin_map(np.full((4, 4), 5.0), edges)
+
     def test_histogram_counts_sum_to_area(self):
         rng = np.random.default_rng(5)
         values = rng.normal(0, 1, (8, 8))
@@ -98,6 +103,25 @@ class TestNaiveToneMap:
         rng = np.random.default_rng(13)
         img = random_wdr(rng, 32, 32)
         params = TmoParams(bins=5, scales=3)
+        fast_arr, _ = tone_map_to_array(img, params)
+        slow_arr = oracle.naive_tone_map_array(img, params)
+        assert np.abs(fast_arr - slow_arr).max() < 1e-6
+        fast, _ = tone_map_image(img, params)
+        slow = oracle.naive_tone_map(img, params)
+        assert np.array_equal(fast.pixels, slow.pixels)
+
+    @pytest.mark.parametrize("bins, scales", [(b, s) for b in (3, 5, 8) for s in (1, 2, 3)])
+    @pytest.mark.parametrize("floor", ["below-every-pixel", "above-a-fifth", "default"])
+    def test_matches_pipeline_at_any_log_floor(self, floor, bins, scales):
+        from wdrtone.pipeline import tone_map_image, tone_map_to_array
+
+        rng = np.random.default_rng(100 + 10 * bins + scales)
+        img = random_wdr(rng, 20, 24)
+        px = img.pixels
+        ordered = np.sort(px[..., 0] * 0.2126 + px[..., 1] * 0.7152 + px[..., 2] * 0.0722, axis=None)
+        log_floor = {"below-every-pixel": ordered[0] / 2, "above-a-fifth": ordered[len(ordered) // 5]}.get(floor)
+        # display_min > 0, so the pixels clamped at the floor keep a non-zero output
+        params = TmoParams(bins=bins, scales=scales, log_floor=log_floor, display_min=0.05)
         fast_arr, _ = tone_map_to_array(img, params)
         slow_arr = oracle.naive_tone_map_array(img, params)
         assert np.abs(fast_arr - slow_arr).max() < 1e-6

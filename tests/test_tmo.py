@@ -4,16 +4,17 @@ variance weights, fusion, color restoration."""
 import numpy as np
 import pytest
 
-from wdrtone import integral, oracle, tmo
+from wdrtone import integral, oracle, parallel, tmo
 from wdrtone.errors import ParameterError
 from wdrtone.hdr_io import HdrImage
+from wdrtone.parallel import WorkerPool
 from wdrtone.params import TmoParams
 from wdrtone.tmo import FieldExtent
 
 
 def log_lum_from(values):
     values = np.asarray(values, dtype=np.float64)
-    return tmo.LogLuminance(values, float(values.min()), float(values.max()))
+    return tmo.LogLuminance(values, float(values.min()), float(values.max()), offset=0.0, floor=1e-12)
 
 
 def hist_for(values, bins):
@@ -71,6 +72,50 @@ class TestLogTransform:
         for floor in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ParameterError):
                 tmo.log_transform(np.ones((2, 2)), floor)
+            with pytest.raises(ParameterError, match="^log_floor must be a positive finite real"):
+                tmo.resolve_log_floor(np.ones((2, 2)), floor)
+
+    # 70 rows, so 64-row strips leave a partial last strip
+    RASTERS = {
+        "zeros": lambda rng: np.zeros((70, 23)),
+        "one-bright-pixel": lambda rng: np.where(np.arange(70 * 23).reshape(70, 23) == 1500, 1e8, 1.0),
+        "constant": lambda rng: np.full((70, 23), 3.5),
+        "radiance-x2^120": lambda rng: np.exp(rng.normal(0, 2, (70, 23))) * 2.0**120,
+        "near-1e-300": lambda rng: 1e-300 * (1.0 + rng.random((70, 23))),
+    }
+
+    @staticmethod
+    def floor_for(kind, luminance):
+        ordered = np.sort(luminance, axis=None)
+        smallest = np.nextafter(0.0, 1.0)  # where a pixel is 0 no positive floor lies below it
+        return {
+            "default": None,
+            "below-every-pixel": max(ordered[0] / 2, smallest),
+            "above-a-fifth": max(ordered[luminance.size // 5], smallest),
+        }[kind]
+
+    @pytest.mark.parametrize("strip_rows", [1, 64])
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("floor_kind", ["default", "below-every-pixel", "above-a-fifth"])
+    @pytest.mark.parametrize("raster", list(RASTERS))
+    def test_range_and_floor_come_from_the_extrema(self, monkeypatch, raster, floor_kind, threads, strip_rows):
+        monkeypatch.setattr(parallel, "STRIP_ROWS", strip_rows)
+        luminance = self.RASTERS[raster](np.random.default_rng(4))
+        log_floor = self.floor_for(floor_kind, luminance)
+        with WorkerPool(threads) as pool:
+            ll = tmo.log_transform(luminance, log_floor, pool)
+            resolved = tmo.log_transform(luminance, tmo.resolve_log_floor(luminance, log_floor), pool)
+        assert ll.floor == tmo.resolve_log_floor(luminance, log_floor)
+        log = np.log(np.maximum(luminance, ll.floor))
+        assert ll.offset == (log.min() + log.max()) / 2
+        assert ll.values.tobytes() == (log - ll.offset).tobytes()
+        assert ll.log_min == ll.values.min()
+        assert ll.log_max == ll.values.max()
+        # the default floor, passed as None or resolved first, gives the same bits
+        assert ll.values.tobytes() == resolved.values.tobytes()
+        assert (ll.log_min, ll.log_max, ll.offset, ll.floor) == (
+            resolved.log_min, resolved.log_max, resolved.offset, resolved.floor
+        )
 
 
 class TestBinEdges:
@@ -95,7 +140,7 @@ class TestBinEdges:
         # the edges round onto each other, so bin_index_map would reject them
         log_min = 690.7755278982137
         log_max = np.nextafter(log_min, np.inf)
-        ll = tmo.LogLuminance(np.zeros((2, 2)), log_min, log_max)
+        ll = tmo.LogLuminance(np.zeros((2, 2)), log_min, log_max, offset=0.0, floor=1e-12)
         edges, degenerate = tmo.compute_bin_edges(ll, 5)
         assert degenerate
         assert not (np.diff(edges) > 0).all()
@@ -411,6 +456,13 @@ class TestWeightMap:
         for epsilon in (0.0, -0.1, np.inf, np.nan):
             with pytest.raises(ParameterError, match="epsilon must be a positive finite real"):
                 tmo.weight_map_at_scale(sums, squares, FieldExtent(2, 2), epsilon)
+
+    @pytest.mark.parametrize("sums_shape, squares_shape", [((4, 5), (5, 4)), ((5, 4), (4, 5))])
+    def test_tables_of_different_sizes_raise(self, sums_shape, squares_shape):
+        sums = integral.build_integral_image(np.ones(sums_shape))
+        squares = integral.build_integral_image(np.ones(squares_shape))
+        with pytest.raises(ParameterError, match="^luminance and squared-luminance tables disagree in size$"):
+            tmo.weight_map_at_scale(sums, squares, FieldExtent(2, 2), 0.1)
 
 
 class TestFusion:
